@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count, islice
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.spatial.distance import cdist
 from scipy.special import expit
-from scipy.stats import qmc
 
 from .errors import (
     ConditionsViolatedError,
@@ -39,7 +38,7 @@ from .errors import (
     RankDeficiencyError,
     RealizationError,
 )
-from .model import ChemicalSynapse, LtcNetwork, NeuronParams
+from .model import LtcNetwork
 from .solver import Method, SolverConfig, integrate_field, simulate
 
 __all__ = [
@@ -154,6 +153,35 @@ def _validation_grid(fld: VectorField) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _halton(n: int, d: int) -> np.ndarray:
+    """First n points of the unscrambled Halton sequence in d dimensions.
+
+    Axis k is the radical inverse of 0, 1, ..., n-1 in the k-th prime base,
+    summed digit by digit in the floating-point order of
+    ``scipy.stats.qmc.Halton(scramble=False)``, so the points are equal.
+    """
+    primes = islice((p for p in count(2) if all(p % q for q in range(2, p))), d)
+    out = np.zeros((n, d))
+    for k, base in enumerate(primes):
+        q = np.arange(n)
+        scale = 1.0 / base
+        while q.any():
+            out[:, k] += (q % base) * scale
+            scale /= base
+            q //= base
+    return out
+
+
+def _pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix, summing squared differences axis by axis
+    in the order ``scipy.spatial.distance.cdist`` does for d <= 3."""
+    sq = 0.0
+    for k in range(points.shape[1]):
+        diff = points[:, None, k] - points[None, :, k]
+        sq = sq + diff * diff
+    return np.sqrt(sq)
+
+
 def fit_feedforward(
     fld: VectorField,
     n_features: int,
@@ -191,8 +219,7 @@ def fit_feedforward(
     proj_span = np.abs(projection) @ half
     bias = rng.uniform(-(proj_center + proj_span), -(proj_center - proj_span))
 
-    sampler = qmc.Halton(d=fld.dim, scramble=False)
-    unit = sampler.random(n_samples)
+    unit = _halton(n_samples, fld.dim)
     samples = lo + unit * (hi - lo)
     targets = _field_values(fld, samples)
     hidden = expit(samples @ projection.T + bias)
@@ -235,8 +262,8 @@ def estimate_lipschitz(
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)
         values = _field_values(fld, points)
-        dx = cdist(points, points)
-        dv = cdist(values, values)
+        dx = _pairwise_distances(points)
+        dv = _pairwise_distances(values)
         mask = dx > 0
         return float(np.max(dv[mask] / dx[mask]))
     n_pairs = max(int(n_pairs), 100_000)
@@ -404,6 +431,20 @@ class TauConditions:
         return self.ok_a and self.ok_b and self.ok_tau_wl
 
 
+def _error_budget(eta: float, lipschitz: float, horizon: float) -> float:
+    """Perturbation budget eta L / (2 (exp(L T) - 1)), eta / (2 T) at L = 0.
+
+    Once exp(L T) overflows the denominator is infinite and the budget is
+    0.0, so every condition measured against it fails instead of raising.
+    """
+    if not lipschitz > 0:
+        return eta / (2.0 * horizon)
+    try:
+        return eta * lipschitz / (2.0 * math.expm1(lipschitz * horizon))
+    except OverflowError:
+        return 0.0
+
+
 def check_tau_conditions(
     system: AugmentedSystem,
     domain,
@@ -432,11 +473,7 @@ def check_tau_conditions(
     margin_a = epsilon_l / 2.0 - lhs_a
 
     mu_norm = float(np.linalg.norm(system.bias_aug[system.n:]))
-    if l_gtilde > 0:
-        rhs_bias = eta * l_gtilde / (2.0 * math.expm1(l_gtilde * horizon))
-    else:
-        rhs_bias = eta / (2.0 * horizon)
-    margin_b_bias = rhs_bias - mu_norm / tau_sys_min
+    margin_b_bias = _error_budget(eta, l_gtilde, horizon) - mu_norm / tau_sys_min
     margin_b_rate = l_gtilde / 2.0 - 1.0 / tau_sys_min
 
     tau_wl = system.tau_base * system.w_l
@@ -470,40 +507,34 @@ def realize_as_ltc(system: AugmentedSystem) -> LtcNetwork:
         raise RealizationError("block_w contains non-finite entries")
     tau = system.tau_base
     mu = system.bias_aug[n:]
-    a1 = system.resting_aug[:n]
-    a2 = system.resting_aug[n:]
-    neurons = []
-    for k in range(nf):
-        neurons.append(NeuronParams(cm=1.0, g_leak=1.0 / tau, v_leak=tau * a2[k] + mu[k]))
-    for i in range(n):
-        neurons.append(NeuronParams(cm=1.0, g_leak=1.0 / tau, v_leak=tau * a1[i]))
-    b_rev = system.readout_block
-    e_block = system.hidden_block
-    w_syn = system.w_l / nf if nf else 0.0
-    synapses = []
+    # Row j of the stacked [E; B_rev]^T lists the targets of hidden source
+    # j: hidden neurons 0..N-1, then outputs N..N+n-1.  Row-major nonzero
+    # therefore yields the synapses source by source, hidden targets first.
+    stacked = np.vstack([system.hidden_block, system.readout_block]).T
+    src, dst = np.nonzero(stacked)
+    entries = stacked[src, dst]
+    hidden = dst < nf
     with np.errstate(over="ignore"):
-        for j in range(nf):
-            for k in range(nf):
-                if e_block[k, j] == 0.0:
-                    continue
-                e_rev = nf * e_block[k, j] / system.w_l + mu[k]
-                if not math.isfinite(e_rev):
-                    raise RealizationError(
-                        f"hidden block entry ({k}, {j}) = {e_block[k, j]!r} needs "
-                        f"a non-finite reversal potential"
-                    )
-                synapses.append(ChemicalSynapse(j, k, w_syn, 1.0, 0.0, e_rev))
-            for i in range(n):
-                if b_rev[i, j] == 0.0:
-                    continue
-                e_rev = nf * b_rev[i, j]
-                if not math.isfinite(e_rev):
-                    raise RealizationError(
-                        f"readout block entry ({i}, {j}) = {b_rev[i, j]!r} needs "
-                        f"a non-finite reversal potential"
-                    )
-                synapses.append(ChemicalSynapse(j, nf + i, w_syn, 1.0, 0.0, e_rev))
-    return LtcNetwork(tuple(neurons), tuple(synapses), (), n_output=n)
+        e_rev = nf * entries
+        e_rev[hidden] = e_rev[hidden] / system.w_l + mu[dst[hidden]]
+    bad = ~np.isfinite(e_rev)
+    if bad.any():
+        k = int(np.argmax(bad))
+        j, r = int(src[k]), int(dst[k])
+        block, row = ("hidden", r) if r < nf else ("readout", r - nf)
+        raise RealizationError(
+            f"{block} block entry ({row}, {j}) = {entries[k]!r} needs "
+            f"a non-finite reversal potential"
+        )
+    size = nf + n
+    m = src.shape[0]
+    return LtcNetwork.from_arrays(
+        cm=np.ones(size),
+        g_leak=np.full(size, 1.0 / tau),
+        v_leak=np.concatenate([tau * system.resting_aug[n:] + mu, tau * system.resting_aug[:n]]),
+        src=src, dst=dst, w=np.full(m, system.w_l / nf if nf else 0.0),
+        gamma=np.ones(m), mu=np.zeros(m), e_rev=e_rev, n_output=n,
+    )
 
 
 @dataclass
@@ -520,6 +551,16 @@ class PipelineConfig:
     ltc_dt: float = 1e-3
     ref_dt: float = 1e-4
     eta: float | None = None
+
+    def __post_init__(self):
+        for name in ("n_features", "n_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("tau_base", "w_l", "ltc_dt", "ref_dt"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
 
 
 @dataclass
@@ -552,8 +593,8 @@ def approximate_trajectory(
     """
     if config is None:
         config = PipelineConfig()
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (fld.dim,):
         raise DomainError(f"x0 has shape {x0.shape}, field dimension is {fld.dim}")
@@ -565,10 +606,7 @@ def approximate_trajectory(
         eta = float(config.eta)
     else:
         eta = 0.1 * float(np.min(fld.domain[:, 1] - fld.domain[:, 0])) / 2.0
-    if lipschitz_f > 0:
-        epsilon_l = eta * lipschitz_f / (2.0 * math.expm1(lipschitz_f * horizon))
-    else:
-        epsilon_l = eta / (2.0 * horizon)
+    epsilon_l = _error_budget(eta, lipschitz_f, horizon)
 
     fit = fit_feedforward(
         fld,

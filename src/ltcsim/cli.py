@@ -8,6 +8,7 @@ line written on any failure is ``ERROR <category>: <detail>``.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -17,6 +18,8 @@ from .approx import PipelineConfig, approximate_trajectory
 from .errors import ExprError, FormatError, LtcError
 from .expr import parse_field
 from .io import (
+    _csv_text,
+    _fmt,
     read_network,
     read_trajectory,
     write_network,
@@ -41,10 +44,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -86,7 +85,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_bounds(args) -> int:
     net = read_network(args.net)
     taus = [tau_bounds(i, net) for i in range(net.size)]
-    boxes = None if net.gaps else state_bounds(net)
+    boxes = None if net.n_gaps else state_bounds(net)
     header = f"{'neuron':>6}  {'tau_min':>22}  {'tau_max':>22}"
     if boxes is not None:
         header += f"  {'box_lo':>22}  {'box_hi':>22}"
@@ -107,6 +106,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise _UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     net = read_network(args.net)
     traj = read_trajectory(args.traj)
     report = monitor_trajectory(traj, net, args.tolerance)
@@ -135,34 +136,30 @@ def _cmd_approximate(args) -> int:
         )
     fld = parse_field(exprs, domain)
     x0 = _parse_floats(args.x0, "--x0")
-    if args.horizon <= 0:
-        raise _UsageError(f"--horizon must be > 0, got {args.horizon}")
-    config = PipelineConfig(
-        n_features=args.features,
-        n_samples=args.samples,
-        ridge=args.ridge,
-        seed=args.seed,
-        tau_base=args.tau,
-        w_l=args.wl,
-    )
+    if not (math.isfinite(args.horizon) and args.horizon > 0):
+        raise _UsageError(f"--horizon must be finite and > 0, got {args.horizon}")
+    try:
+        config = PipelineConfig(
+            n_features=args.features,
+            n_samples=args.samples,
+            ridge=args.ridge,
+            seed=args.seed,
+            tau_base=args.tau,
+            w_l=args.wl,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     report = approximate_trajectory(fld, x0, args.horizon, config)
 
     if args.out_net:
         write_network(report.network, args.out_net)
     if args.out_traj:
         n = fld.dim
-        header = (
-            "t"
-            + "".join(f",x{i}_ref" for i in range(n))
-            + "".join(f",x{i}_ltc" for i in range(n))
-        )
-        lines = [header]
-        for k in range(report.times.shape[0]):
-            row = [report.times[k], *report.reference_states[k],
-                   *report.network_outputs[k]]
-            lines.append(",".join(_fmt(v) for v in row))
+        header = ["t", *(f"x{i}_ref" for i in range(n)), *(f"x{i}_ltc" for i in range(n))]
+        rows = np.column_stack([report.times, report.reference_states,
+                                report.network_outputs])
         with open(args.out_traj, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(_csv_text(header, rows))
     cond = report.conditions
     report_lines = [
         "approximation report",

@@ -13,11 +13,12 @@ value serialized with 17 significant digits so read-back is bit-exact.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, TopologyError
-from .model import ChemicalSynapse, GapJunction, LtcNetwork, NeuronParams
+from .model import _ARRAY_OF, _GROUPS, _INDEX_FIELDS, LtcNetwork
 from .solver import Trajectory
 
 __all__ = [
@@ -31,34 +32,25 @@ __all__ = [
     "read_trajectory",
 ]
 
-_NEURON_KEYS = ("cm", "g_leak", "v_leak")
-_SYNAPSE_KEYS = ("src", "dst", "w", "gamma", "mu", "e_rev")
-_GAP_KEYS = ("a", "b", "w_hat")
 _TOP_KEYS = ("neurons", "chemical_synapses", "gap_junctions", "n_output")
 
 
+def _json_list(name: str, fields, cols) -> str:
+    """``"name": [...]`` laid out exactly as ``json.dumps(indent=2)`` does;
+    Python's float and int repr is what the JSON encoder writes."""
+    if not cols[0]:
+        return f'  "{name}": []'
+    item = "    {\n" + ",\n".join(f'      "{f}": %r' for f in fields) + "\n    }"
+    return f'  "{name}": [\n' + ",\n".join(map(item.__mod__, zip(*cols))) + "\n  ]"
+
+
 def serialize_network(net: LtcNetwork) -> str:
-    doc = {
-        "neurons": [
-            {"cm": p.cm, "g_leak": p.g_leak, "v_leak": p.v_leak} for p in net.neurons
-        ],
-        "chemical_synapses": [
-            {
-                "src": s.src,
-                "dst": s.dst,
-                "w": s.w,
-                "gamma": s.gamma,
-                "mu": s.mu,
-                "e_rev": s.e_rev,
-            }
-            for s in net.chem
-        ],
-        "gap_junctions": [
-            {"a": g.a, "b": g.b, "w_hat": g.w_hat} for g in net.gaps
-        ],
-        "n_output": net.n_output,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    parts = [
+        _json_list(name, fields, [getattr(net, _ARRAY_OF[f]).tolist() for f in fields])
+        for name, fields, _ in _GROUPS
+    ]
+    parts.append(f'  "n_output": {net.n_output!r}')
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def _check_keys(item, required, path):
@@ -76,7 +68,10 @@ def _number(item, key, path):
     v = item[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise FormatError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise FormatError(f"{path}.{key}: number out of float range") from None
 
 
 def _integer(item, key, path):
@@ -84,6 +79,42 @@ def _integer(item, key, path):
     if isinstance(v, bool) or not isinstance(v, int):
         raise FormatError(f"{path}.{key}: expected an integer, got {v!r}")
     return v
+
+
+def _check_item(item, fields, kind, path):
+    """Keys, value types and parameter rules of one list item."""
+    _check_keys(item, fields, path)
+    try:
+        kind(*(_integer(item, f, path) if f in _INDEX_FIELDS else _number(item, f, path)
+               for f in fields))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _columns(items, fields, kind, path) -> dict:
+    """Columns of a list of JSON objects, keyed by field.
+
+    Key sets and value types are checked for the whole list at once.  If
+    that fails, the per-item checks run in document order and the first
+    bad item raises the error, named by its index.
+    """
+    if items is None:
+        items = []
+    if not isinstance(items, list):
+        raise FormatError(f"{path} must be a list")
+    try:
+        if set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(fields)}:
+            cols = list(zip(*map(itemgetter(*fields), items))) or [()] * len(fields)
+            if all(set(map(type, col)) <= ({int} if f in _INDEX_FIELDS else {int, float})
+                   for f, col in zip(fields, cols)):
+                return {f: col if f in _INDEX_FIELDS else np.array(col, dtype=float)
+                        for f, col in zip(fields, cols)}
+    except (KeyError, OverflowError):
+        pass
+    # Every way the whole-list pass can fail is a key, type or range error
+    # that one of the per-item checks raises.
+    for k, item in enumerate(items):
+        _check_item(item, fields, kind, f"{path}[{k}]")
 
 
 def parse_network(text: str) -> LtcNetwork:
@@ -94,6 +125,8 @@ def parse_network(text: str) -> LtcNetwork:
         raise FormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer beyond the digit limit
+        raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("top level must be a JSON object")
     for key in doc:
@@ -106,53 +139,11 @@ def parse_network(text: str) -> LtcNetwork:
         raise FormatError(f"n_output: expected an integer, got {doc['n_output']!r}")
     if not isinstance(doc["neurons"], list):
         raise FormatError("neurons must be a list")
-
-    neurons = []
-    for i, item in enumerate(doc["neurons"]):
-        path = f"neurons[{i}]"
-        _check_keys(item, _NEURON_KEYS, path)
-        values = {k: _number(item, k, path) for k in _NEURON_KEYS}
-        try:
-            neurons.append(NeuronParams(**values))
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-
-    synapses = []
-    for i, item in enumerate(doc.get("chemical_synapses", []) or []):
-        path = f"chemical_synapses[{i}]"
-        _check_keys(item, _SYNAPSE_KEYS, path)
-        try:
-            synapses.append(
-                ChemicalSynapse(
-                    src=_integer(item, "src", path),
-                    dst=_integer(item, "dst", path),
-                    w=_number(item, "w", path),
-                    gamma=_number(item, "gamma", path),
-                    mu=_number(item, "mu", path),
-                    e_rev=_number(item, "e_rev", path),
-                )
-            )
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-
-    gaps = []
-    for i, item in enumerate(doc.get("gap_junctions", []) or []):
-        path = f"gap_junctions[{i}]"
-        _check_keys(item, _GAP_KEYS, path)
-        try:
-            gaps.append(
-                GapJunction(
-                    a=_integer(item, "a", path),
-                    b=_integer(item, "b", path),
-                    w_hat=_number(item, "w_hat", path),
-                )
-            )
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-
+    cols = {}
+    for name, fields, kind in _GROUPS:
+        cols.update(_columns(doc.get(name), fields, kind, name))
     try:
-        return LtcNetwork(tuple(neurons), tuple(synapses), tuple(gaps),
-                          doc["n_output"])
+        return LtcNetwork.from_arrays(**cols, n_output=doc["n_output"])
     except (ValueError, TopologyError) as exc:
         raise FormatError(str(exc)) from exc
 
@@ -161,13 +152,15 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    n = traj.states.shape[1]
-    header = "t" + "".join(f",v{i}" for i in range(n))
-    lines = [header]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join([_fmt(t), *(_fmt(v) for v in row)]))
+def _csv_text(header, rows: np.ndarray) -> str:
+    """CSV with every value at 17 significant digits, bit-exact on read-back."""
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows.tolist())]
     return "\n".join(lines) + "\n"
+
+
+def trajectory_to_csv(traj: Trajectory) -> str:
+    header = ["t", *(f"v{i}" for i in range(traj.states.shape[1]))]
+    return _csv_text(header, np.column_stack([traj.times, traj.states]))
 
 
 def trajectory_from_csv(text: str) -> Trajectory:

@@ -22,7 +22,7 @@ gap junctions, which are bidirectional) is rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -120,82 +120,173 @@ class GapJunction:
             raise ValueError(f"w_hat must be >= 0, got {self.w_hat}")
 
 
-@dataclass(frozen=True)
+_NEURON_FIELDS = ("cm", "g_leak", "v_leak")
+_CHEM_FIELDS = ("src", "dst", "w", "gamma", "mu", "e_rev")
+_GAP_FIELDS = ("a", "b", "w_hat")
+_INDEX_FIELDS = ("src", "dst", "a", "b")
+# (document list name, item fields, item dataclass) for the three item lists
+_GROUPS = (
+    ("neurons", _NEURON_FIELDS, NeuronParams),
+    ("chemical_synapses", _CHEM_FIELDS, ChemicalSynapse),
+    ("gap_junctions", _GAP_FIELDS, GapJunction),
+)
+_ARRAYS = ("_cm", "_g", "_vleak", "_src", "_dst", "_w", "_gamma", "_mu", "_erev",
+           "_ga", "_gb", "_gw")
+_ARRAY_OF = dict(zip(_NEURON_FIELDS + _CHEM_FIELDS + _GAP_FIELDS, _ARRAYS))
+
+
+def _column(values, field: str) -> np.ndarray:
+    if field not in _INDEX_FIELDS:
+        return np.array(values, dtype=float)
+    try:
+        return np.array(values, dtype=np.intp)
+    except OverflowError:  # beyond intp: clamp; the range checks still reject it
+        big = np.iinfo(np.intp).max
+        return np.array([min(max(int(v), -1), big) for v in values], dtype=np.intp)
+
+
+def _reject_first(bad: np.ndarray, group: int, cols) -> None:
+    """Raise the error of the first flagged item, worded by its dataclass."""
+    if bad.any():
+        name, _, item = _GROUPS[group]
+        k = int(np.argmax(bad))
+        try:
+            item(*(c[k].item() for c in cols))
+        except ValueError as exc:
+            raise ValueError(f"{name}[{k}]: {exc}") from None
+
+
 class LtcNetwork:
     """Immutable network: neurons, synapses, junctions and output split.
 
-    Output neurons are the last ``n_output`` indices.  Construction
-    validates index ranges and the feed-forward output rule, then caches
-    flat parameter arrays used by the vectorized evaluators.
+    Output neurons are the last ``n_output`` indices.  Flat parameter
+    arrays are the source of truth.  ``LtcNetwork.from_arrays`` validates
+    them (finiteness, signs, index ranges, the feed-forward output rule);
+    the tuple constructor ``LtcNetwork(neurons, chem, gaps, n_output)``
+    converts its dataclass items and calls the same validator.  The
+    ``neurons``, ``chem`` and ``gaps`` tuples are views: the tuples given
+    to the constructor, or built on first access for array-built networks.
+    Equality compares the arrays and ``n_output``.
     """
 
-    neurons: tuple[NeuronParams, ...]
-    chem: tuple[ChemicalSynapse, ...] = field(default=())
-    gaps: tuple[GapJunction, ...] = field(default=())
-    n_output: int = 0
+    def __init__(self, neurons, chem=(), gaps=(), n_output=0):
+        views = (tuple(neurons), tuple(chem), tuple(gaps))
+        self._store({f: [getattr(x, f) for x in items]
+                     for items, (_, fields, _) in zip(views, _GROUPS) for f in fields},
+                    n_output)
+        self._cache.update(enumerate(views))
 
-    def __post_init__(self):
-        object.__setattr__(self, "neurons", tuple(self.neurons))
-        object.__setattr__(self, "chem", tuple(self.chem))
-        object.__setattr__(self, "gaps", tuple(self.gaps))
-        object.__setattr__(self, "n_output", int(self.n_output))
-        size = len(self.neurons)
-        if not 0 <= self.n_output <= size:
-            raise ValueError(
-                f"n_output must be between 0 and {size}, got {self.n_output}"
-            )
-        n_hidden = size - self.n_output
-        for k, syn in enumerate(self.chem):
-            if syn.src >= size or syn.dst >= size:
-                raise ValueError(
-                    f"chemical_synapses[{k}]: index out of range for {size} neurons"
-                )
-            if syn.src >= n_hidden:
-                raise TopologyError(
-                    f"chemical_synapses[{k}]: source {syn.src} is an output neuron; "
-                    "outputs must not project to any neuron"
-                )
-        for k, gj in enumerate(self.gaps):
-            if gj.a >= size or gj.b >= size:
-                raise ValueError(
-                    f"gap_junctions[{k}]: index out of range for {size} neurons"
-                )
-            if gj.a >= n_hidden or gj.b >= n_hidden:
-                raise TopologyError(
-                    f"gap_junctions[{k}]: endpoint touches an output neuron; "
-                    "gap junctions are bidirectional and must stay hidden-hidden"
-                )
-        self._build_caches()
+    @classmethod
+    def from_arrays(cls, cm, g_leak, v_leak, src=(), dst=(), w=(), gamma=(), mu=(),
+                    e_rev=(), a=(), b=(), w_hat=(), n_output=0) -> LtcNetwork:
+        """Validate flat per-neuron, per-synapse and per-junction columns."""
+        net = cls.__new__(cls)
+        net._store(dict(cm=cm, g_leak=g_leak, v_leak=v_leak, src=src, dst=dst, w=w,
+                        gamma=gamma, mu=mu, e_rev=e_rev, a=a, b=b, w_hat=w_hat),
+                   n_output)
+        return net
 
-    def _build_caches(self):
-        neurons = self.neurons
-        object.__setattr__(self, "_cm", np.array([p.cm for p in neurons]))
-        object.__setattr__(self, "_g", np.array([p.g_leak for p in neurons]))
-        object.__setattr__(self, "_vleak", np.array([p.v_leak for p in neurons]))
-        chem = self.chem
-        object.__setattr__(self, "_src", np.array([s.src for s in chem], dtype=np.intp))
-        object.__setattr__(self, "_dst", np.array([s.dst for s in chem], dtype=np.intp))
-        object.__setattr__(self, "_w", np.array([s.w for s in chem]))
-        object.__setattr__(self, "_gamma", np.array([s.gamma for s in chem]))
-        object.__setattr__(self, "_mu", np.array([s.mu for s in chem]))
-        object.__setattr__(self, "_erev", np.array([s.e_rev for s in chem]))
-        # Gap endpoints concatenated a-side first, then b-side, so that a
+    def _store(self, cols, n_output):
+        arrays = []
+        for name, fields, _ in _GROUPS:
+            group = [_column(cols[f], f) for f in fields]
+            if any(c.ndim != 1 or c.shape != group[0].shape for c in group):
+                raise ValueError(f"{name} columns must be 1-D and of equal length")
+            arrays += group
+        cm, g, vleak, src, dst, w, gamma, mu, erev, ga, gb, gw = arrays
+        ok = np.isfinite
+        _reject_first(~(ok(cm) & ok(g) & ok(vleak) & (cm > 0) & (g >= 0)), 0, arrays[0:3])
+        _reject_first(~(ok(w) & ok(gamma) & ok(mu) & ok(erev) & (src >= 0) & (dst >= 0)
+                        & (w >= 0) & (gamma > 0)), 1, arrays[3:9])
+        _reject_first(~(ok(gw) & (ga >= 0) & (gb >= 0) & (ga != gb) & (gw >= 0)), 2,
+                      arrays[9:12])
+        size = cm.shape[0]
+        n_output = int(n_output)
+        if not 0 <= n_output <= size:
+            raise ValueError(f"n_output must be between 0 and {size}, got {n_output}")
+        n_hidden = size - n_output
+        edges = (
+            ("chemical_synapses", src, dst, src >= n_hidden,
+             "source {} is an output neuron; outputs must not project to any neuron"),
+            ("gap_junctions", ga, gb, (ga >= n_hidden) | (gb >= n_hidden),
+             "endpoint touches an output neuron; "
+             "gap junctions are bidirectional and must stay hidden-hidden"),
+        )
+        for path, first, second, touches, why in edges:
+            out = (first >= size) | (second >= size)
+            if (out | touches).any():
+                k = int(np.argmax(out | touches))
+                if out[k]:
+                    raise ValueError(f"{path}[{k}]: index out of range for {size} neurons")
+                raise TopologyError(f"{path}[{k}]: " + why.format(first[k]))
+        for arr in arrays:
+            arr.flags.writeable = False
+        # Attributes are set with object.__setattr__ (never through __dict__)
+        # and in the same order for every network, which keeps CPython's
+        # attribute reads on their fast path (measurably so in
+        # network_derivative); values derived on first use go into _cache.
+        # Gap endpoints are concatenated a-side first, then b-side, so that a
         # single bincount accumulates in the same order as the two-pass
         # per-neuron loop in neuron_derivative.
-        ga = np.array([g.a for g in self.gaps], dtype=np.intp)
-        gb = np.array([g.b for g in self.gaps], dtype=np.intp)
-        gw = np.array([g.w_hat for g in self.gaps])
-        object.__setattr__(self, "_gself", np.concatenate([ga, gb]))
-        object.__setattr__(self, "_gother", np.concatenate([gb, ga]))
-        object.__setattr__(self, "_gw2", np.concatenate([gw, gw]))
+        for name, value in (*zip(_ARRAYS, arrays), ("n_output", n_output), ("size", size),
+                            ("_gself", np.concatenate([ga, gb])),
+                            ("_gother", np.concatenate([gb, ga])),
+                            ("_gw2", np.concatenate([gw, gw])), ("_cache", {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LtcNetwork is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, LtcNetwork):
+            return NotImplemented
+        return self.n_output == other.n_output and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in _ARRAYS
+        )
+
+    def __hash__(self):
+        return hash((self.size, self.n_chem, self.n_gaps, self.n_output))
+
+    def __repr__(self):
+        return (f"LtcNetwork(neurons={self.neurons!r}, chem={self.chem!r}, "
+                f"gaps={self.gaps!r}, n_output={self.n_output!r})")
+
+    def _items(self, group: int) -> tuple:
+        """Tuple view of one item list, built on first use."""
+        if group not in self._cache:
+            _, fields, item = _GROUPS[group]
+            cols = (getattr(self, _ARRAY_OF[f]).tolist() for f in fields)
+            self._cache[group] = tuple(map(item, *cols))
+        return self._cache[group]
+
+    neurons = property(lambda self: self._items(0))
+    chem = property(lambda self: self._items(1))
+    gaps = property(lambda self: self._items(2))
 
     @property
-    def size(self) -> int:
-        return len(self.neurons)
+    def _tau_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """Closed-form per-neuron (tau_min, tau_max): cm over the conductance
+        load at full (sigma=1) and at zero (sigma=0) gating, computed once."""
+        if "tau" not in self._cache:
+            with np.errstate(divide="ignore", over="ignore"):
+                self._cache["tau"] = (
+                    self._cm / _conductance_loads(self, np.ones(self.n_chem)),
+                    self._cm / _conductance_loads(self, np.zeros(self.n_chem)))
+        return self._cache["tau"]
 
     @property
     def n_hidden(self) -> int:
-        return len(self.neurons) - self.n_output
+        return self.size - self.n_output
+
+    @property
+    def n_chem(self) -> int:
+        return self._w.shape[0]
+
+    @property
+    def n_gaps(self) -> int:
+        return self._gw.shape[0]
 
 
 def validate_state(u, net: LtcNetwork) -> np.ndarray:

@@ -17,6 +17,7 @@ multiple of dt, one shortened final step lands exactly on t_end.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,8 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
+            raise ValueError(f"dt and t_end must be finite, got {self.dt} and {self.t_end}")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_end < self.dt:
@@ -82,6 +85,8 @@ class Trajectory:
             raise DimensionMismatchError(
                 f"{self.times.shape[0]} times vs {self.states.shape[0]} states"
             )
+        if not np.isfinite(self.times).all():
+            raise ValueError("trajectory times must be finite")
         if self.times.shape[0] == 0 or self.times[0] != 0.0:
             raise ValueError("trajectory times must start at 0")
         if (np.diff(self.times) <= 0).any():

@@ -22,6 +22,7 @@ so the monitor then checks time constants alone.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,7 @@ class ViolationKind(enum.Enum):
     TAU_HIGH = "TAU_HIGH"
     STATE_LOW = "STATE_LOW"
     STATE_HIGH = "STATE_HIGH"
+    NON_FINITE = "NON_FINITE"
 
 
 @dataclass(frozen=True)
@@ -101,42 +103,36 @@ class ViolationReport:
         return not self.entries
 
 
-def _load_vectors(net: LtcNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Per-neuron conductance loads at full (sigma=1) and zero (sigma=0) gating."""
-    n_syn = len(net.chem)
-    full = _conductance_loads(net, np.ones(n_syn))
-    empty = _conductance_loads(net, np.zeros(n_syn))
-    return full, empty
-
-
 def tau_bounds(i: int, net: LtcNetwork) -> TauInterval:
     """Closed-form interval for the time constant of neuron ``i``."""
     if not 0 <= i < net.size:
         raise IndexError(f"neuron index {i} out of range for {net.size} neurons")
-    full, empty = _load_vectors(net)
-    with np.errstate(divide="ignore"):
-        tau_min = float(net._cm[i] / full[i])
-        tau_max = float(net._cm[i] / empty[i])
-    return TauInterval(i, tau_min, tau_max)
+    tau_min, tau_max = net._tau_range
+    return TauInterval(i, float(tau_min[i]), float(tau_max[i]))
 
 
 def state_bounds(net: LtcNetwork) -> list[StateBox]:
-    """Per-neuron reachable box; defined for chemical-only networks."""
-    if net.gaps:
+    """Per-neuron reachable box; defined for chemical-only networks.
+
+    Each box is min/max of v_leak and the incoming reversal potentials.
+    numpy's minimum/maximum return the second operand on ties, so the
+    synapses run in reverse and v_leak comes last: of equal values (0.0
+    and -0.0) the leak, then the earliest synapse wins, as with Python's
+    ``min(v_leak, min(e_revs))``.
+    """
+    if net.n_gaps:
         raise UnsupportedTopologyError(
             "state bounds are defined for chemical-synapse-only networks; "
-            f"this network has {len(net.gaps)} gap junction(s)"
+            f"this network has {net.n_gaps} gap junction(s)"
         )
-    boxes = []
-    for i, p in enumerate(net.neurons):
-        erevs = [s.e_rev for s in net.chem if s.dst == i]
-        if erevs:
-            lo = min(p.v_leak, min(erevs))
-            hi = max(p.v_leak, max(erevs))
-        else:
-            lo = hi = p.v_leak
-        boxes.append(StateBox(i, lo, hi))
-    return boxes
+    dst, erev = net._dst[::-1], net._erev[::-1]
+    lo = np.full(net.size, np.inf)
+    hi = np.full(net.size, -np.inf)
+    np.minimum.at(lo, dst, erev)
+    np.maximum.at(hi, dst, erev)
+    lo = np.minimum(lo, net._vleak).tolist()
+    hi = np.maximum(hi, net._vleak).tolist()
+    return [StateBox(i, lo[i], hi[i]) for i in range(net.size)]
 
 
 def monitor_trajectory(
@@ -145,24 +141,31 @@ def monitor_trajectory(
     """Check every recorded state against the tau intervals and state boxes.
 
     Tau membership is exact (no tolerance); state boxes are widened by
-    ``tolerance``.  Gap-junction networks are checked for tau only.
+    ``tolerance``, which must be finite and >= 0.  Gap-junction networks are
+    checked for tau only.  Every non-finite state component is reported
+    first, as ``NON_FINITE`` (its bound is nan), since no comparison can
+    hold for it.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     if traj.states.shape[1] != net.size:
         raise DimensionMismatchError(
             f"trajectory has {traj.states.shape[1]} columns, network has "
             f"{net.size} neurons"
         )
-    full, empty = _load_vectors(net)
-    with np.errstate(divide="ignore"):
-        tau_min = net._cm / full
-        tau_max = net._cm / empty
-    if net.gaps:
+    tau_min, tau_max = net._tau_range
+    if net.n_gaps:
         boxes = None
     else:
         boxes = state_bounds(net)
         lo = np.array([b.lo for b in boxes]) - tolerance
         hi = np.array([b.hi for b in boxes]) + tolerance
     report = ViolationReport(tolerance=tolerance)
+    for row, i in zip(*np.nonzero(~np.isfinite(traj.states))):
+        report.entries.append(
+            Violation(float(traj.times[row]), int(i), ViolationKind.NON_FINITE,
+                      float(traj.states[row, i]), math.nan)
+        )
     for t, u in zip(traj.times, traj.states):
         sig = _chem_activations(net, u)
         with np.errstate(divide="ignore"):
@@ -193,11 +196,11 @@ def monitor_trajectory(
 
 def conservation_check(traj: Trajectory, net: LtcNetwork) -> float:
     """Max drift of sum(cm_i * v_i) for leakless gap-only networks."""
-    if net.chem:
+    if net.n_chem:
         raise UnsupportedTopologyError(
             "conservation check requires a gap-junction-only network"
         )
-    if any(p.g_leak != 0.0 for p in net.neurons):
+    if (net._g != 0.0).any():
         raise UnsupportedTopologyError(
             "conservation check requires g_leak == 0 for every neuron"
         )

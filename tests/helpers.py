@@ -1,6 +1,7 @@
 """Shared network builders for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ltcsim import ChemicalSynapse, GapJunction, LtcNetwork, NeuronParams
 
@@ -58,3 +59,34 @@ def box_arrays(boxes):
     lo = np.array([b.lo for b in boxes])
     hi = np.array([b.hi for b in boxes])
     return lo, hi
+
+
+@st.composite
+def networks(draw, bound=None):
+    """Random valid networks for property tests.
+
+    Floats include -0.0 and subnormals, and reach 1e308 unless ``bound``
+    caps their magnitude (and the reciprocal of positive values).
+    """
+    kw = dict(allow_nan=False, allow_infinity=False)
+    big = {} if bound is None else dict(min_value=-bound, max_value=bound)
+    finite = st.floats(**kw, **big)
+    non_negative = st.floats(min_value=0.0, max_value=bound, **kw) | st.just(-0.0)
+    positive = st.floats(min_value=0.0 if bound is None else 1.0 / bound,
+                         max_value=bound, exclude_min=bound is None, **kw)
+    size = draw(st.integers(0, 6))
+    n_output = draw(st.integers(0, size))
+    n_hidden = size - n_output
+    neurons = draw(st.lists(st.builds(NeuronParams, positive, non_negative, finite),
+                            min_size=size, max_size=size))
+    chem, gaps = [], []
+    if n_hidden:
+        chem = draw(st.lists(st.builds(
+            ChemicalSynapse, st.integers(0, n_hidden - 1), st.integers(0, size - 1),
+            non_negative, positive, finite, finite), max_size=10))
+    if n_hidden > 1:
+        pairs = st.lists(st.integers(0, n_hidden - 1), min_size=2, max_size=2,
+                         unique=True)
+        gaps = draw(st.lists(st.builds(lambda ab, w: GapJunction(*ab, w),
+                                       pairs, non_negative), max_size=5))
+    return LtcNetwork(neurons, chem, gaps, n_output)

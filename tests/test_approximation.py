@@ -1,16 +1,22 @@
 """Approximation: fits, Lipschitz estimates, augmented systems, pipeline."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.special import expit
 from scipy.stats import qmc
 
 from ltcsim import (
     AugmentedSystem,
+    ChemicalSynapse,
     ConditionsViolatedError,
     DomainError,
     FeedForwardApprox,
+    LtcNetwork,
     Method,
+    NeuronParams,
     PipelineConfig,
     RankDeficiencyError,
     RealizationError,
@@ -28,6 +34,7 @@ from ltcsim import (
     realize_as_ltc,
     simulate,
 )
+from ltcsim.approx import _halton, _pairwise_distances
 from helpers import rotation_field
 
 # Calibrated offline: median sup_error over seeds 0..19 for the -x fit
@@ -108,6 +115,14 @@ class TestFit:
                 pert[i, j] += rng.choice([-1e-3, 1e-3])
                 assert loss(pert) >= base - 1e-12
 
+    def test_halton_equals_scipy(self):
+        for d in range(1, 7):
+            for n in (1, 5, 1024, 4099):
+                ours = _halton(n, d)
+                ref = qmc.Halton(d=d, scramble=False).random(n)
+                assert ours.shape == ref.shape
+                assert (ours.view(np.int64) == ref.view(np.int64)).all()
+
     def test_feedforward_eval_shapes(self):
         rng = np.random.default_rng(0)
         fit = random_fit(rng, 2, 5)
@@ -129,6 +144,15 @@ class TestLipschitz:
     def test_high_dim_sampling_path(self):
         fld = VectorField(4, lambda x: -x, [[-1.0, 1.0]] * 4)
         assert estimate_lipschitz(fld) == pytest.approx(1.0, rel=0.05)
+
+    def test_pairwise_distances_equal_cdist(self):
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 3):
+            for _ in range(10):
+                points = rng.normal(size=(150, d)) * 10.0 ** rng.integers(-6, 7)
+                points[rng.integers(150)] = points[0]  # a zero distance off the diagonal
+                ours = _pairwise_distances(points)
+                assert (ours.view(np.int64) == cdist(points, points).view(np.int64)).all()
 
     def test_degenerate_domain(self):
         fld = VectorField(2, lambda x: x, [[-1.0, 1.0], [0.5, 0.5]])
@@ -196,6 +220,28 @@ class TestTauConditions:
         assert cond.margin_a == pytest.approx(0.05 - 2.0)
         assert not cond.ok_tau_wl
 
+    def test_budget_overflow_fails_condition_b(self):
+        # exp(l_gtilde * horizon) overflows: the budget is 0.0, not an error
+        rng = np.random.default_rng(8)
+        system = assemble_augmented_system(random_fit(rng, 2, 4), 100.0, 1e-4)
+        cond = check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1, 5e3, 2.0)
+        mu_norm = float(np.linalg.norm(system.bias_aug[2:]))
+        assert not cond.ok_b
+        assert cond.margin_b_bias == -mu_norm / cond.tau_sys_min
+        # below the overflow the formula is unchanged bit for bit
+        cond = check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1, 300.0, 2.0)
+        budget = 0.1 * 300.0 / (2.0 * math.expm1(300.0 * 2.0))
+        assert cond.margin_b_bias == budget - mu_norm / cond.tau_sys_min
+
+    def test_stiff_field_pipeline_finishes(self):
+        vdp = VectorField(2, lambda x: np.array([x[1], (1 - x[0] ** 2) * x[1] - x[0]]),
+                          [[-2.5, 2.5], [-3.0, 3.0]])
+        report = approximate_trajectory(vdp, [1.0, 0.0], 0.5,
+                                        PipelineConfig(n_features=16))
+        assert report.l_gtilde * 0.5 > 710  # past the float range of exp
+        assert math.isfinite(report.sup_traj_error)
+        assert not report.conditions.ok_b
+
     def test_margins_improve_with_tau(self):
         rng = np.random.default_rng(5)
         fit = random_fit(rng, 2, 4)
@@ -257,6 +303,41 @@ class TestRealize:
         # constructing the network already enforces the rule; check structure
         assert all(s.src < net.n_hidden for s in net.chem)
         assert not net.gaps
+
+    @staticmethod
+    def _loop_realization(system):
+        """Per-entry reference wiring: source j outer, hidden targets, then outputs."""
+        n, nf, tau = system.n, system.N, system.tau_base
+        mu, a1, a2 = system.bias_aug[n:], system.resting_aug[:n], system.resting_aug[n:]
+        neurons = [NeuronParams(1.0, 1.0 / tau, tau * a2[k] + mu[k]) for k in range(nf)]
+        neurons += [NeuronParams(1.0, 1.0 / tau, tau * a1[i]) for i in range(n)]
+        w_syn = system.w_l / nf if nf else 0.0
+        syns = []
+        for j in range(nf):
+            for k in range(nf):
+                if system.hidden_block[k, j] != 0.0:
+                    e_rev = nf * system.hidden_block[k, j] / system.w_l + mu[k]
+                    syns.append(ChemicalSynapse(j, k, w_syn, 1.0, 0.0, e_rev))
+            for i in range(n):
+                if system.readout_block[i, j] != 0.0:
+                    e_rev = nf * system.readout_block[i, j]
+                    syns.append(ChemicalSynapse(j, nf + i, w_syn, 1.0, 0.0, e_rev))
+        return LtcNetwork(tuple(neurons), tuple(syns), (), n_output=n)
+
+    def test_vectorized_equals_loop(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            n, nf = int(rng.integers(1, 4)), int(rng.integers(0, 9))
+            block = np.zeros((n + nf, n + nf))
+            block[:, n:] = rng.normal(size=(n + nf, nf)) * 10.0 ** rng.integers(-3, 4)
+            block[rng.uniform(size=block.shape) < 0.3] = 0.0
+            bias = np.concatenate([np.zeros(n), rng.normal(size=nf)])
+            system = AugmentedSystem(n, nf, block, bias, rng.normal(size=n + nf),
+                                     float(rng.uniform(1, 100)), 1e-4)
+            net, ref = realize_as_ltc(system), self._loop_realization(system)
+            assert net == ref and net.chem == ref.chem and net.neurons == ref.neurons
+            assert (net._erev.view(np.int64) == ref._erev.view(np.int64)).all()
+            assert (net._vleak.view(np.int64) == ref._vleak.view(np.int64)).all()
 
     def test_unrepresentable_entry(self):
         block = np.zeros((2, 2))

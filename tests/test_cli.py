@@ -1,5 +1,9 @@
 """CLI: subcommands, exit codes, error lines, reproducibility."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -84,6 +88,15 @@ class TestSimulateAndVerify:
         assert code == 3
         assert "STATE_HIGH" in out
 
+    def test_verify_reports_non_finite(self, capsys, net_file, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t,v0\n0,nan\n0.5,0.25\n1,inf\n")
+        code, out, _ = run(capsys, "verify", "--net", net_file, "--traj", str(path))
+        assert code == 3
+        lines = [ln for ln in out.splitlines() if ln.startswith("VIOLATION NON_FINITE")]
+        assert lines == ["VIOLATION NON_FINITE t=0 neuron=0 value=nan bound=nan",
+                         "VIOLATION NON_FINITE t=1 neuron=0 value=inf bound=nan"]
+
 
 class TestErrorPaths:
     def test_unknown_flag_usage(self, capsys, net_file):
@@ -108,6 +121,12 @@ class TestErrorPaths:
         code, _, err = run(capsys, "bounds", "--net", str(path))
         assert code == 2
         assert err.startswith("ERROR parse:") and "cm" in err
+        for digits in (400, 5000):  # beyond float range; beyond the int digit limit
+            path.write_text('{"neurons": [{"cm": 1%s, "g_leak": 1, "v_leak": 0}], '
+                            '"n_output": 1}' % ("0" * digits))
+            code, _, err = run(capsys, "bounds", "--net", str(path))
+            assert code == 2
+            assert err.startswith("ERROR parse:")
 
     def test_bad_init_value(self, capsys, net_file, tmp_path):
         code, _, err = run(capsys, "simulate", "--net", net_file,
@@ -117,10 +136,25 @@ class TestErrorPaths:
         assert err.startswith("ERROR usage:")
 
     def test_bad_dt_value(self, capsys, net_file, tmp_path):
-        code, _, err = run(capsys, "simulate", "--net", net_file,
-                           "--init", "0.0", "--dt", "-1", "--t-end", "1",
-                           "--out", str(tmp_path / "o.csv"))
-        assert code == 1
+        for dt, t_end in (("-1", "1"), ("nan", "1"), ("0.1", "inf")):
+            code, _, err = run(capsys, "simulate", "--net", net_file,
+                               "--init", "0.0", "--dt", dt, "--t-end", t_end,
+                               "--out", str(tmp_path / "o.csv"))
+            assert code == 1
+            assert err.startswith("ERROR usage:")
+        approx = ["approximate", "--field", "x2;-x1", "--domain", "-1:1,-1:1",
+                  "--x0", "1,0"]
+        for flags in (["--horizon", "nan"], ["--horizon", "1", "--features", "0"]):
+            code, _, err = run(capsys, *approx, *flags)
+            assert code == 1
+            assert err.startswith("ERROR usage:")
+        traj = tmp_path / "t.csv"
+        traj.write_text("t,v0\n0,0.25\n")
+        for tol in ("nan", "-5", "inf"):
+            code, _, err = run(capsys, "verify", "--net", net_file, "--traj", str(traj),
+                               "--tolerance", tol)
+            assert code == 1
+            assert err.startswith("ERROR usage:")
 
     def test_init_dimension_mismatch_numeric(self, capsys, net_file, tmp_path):
         code, _, err = run(capsys, "simulate", "--net", net_file,
@@ -196,8 +230,27 @@ class TestApproximate:
         for left, right in zip(paths[0], paths[1]):
             assert left.read_bytes() == right.read_bytes()
 
+    def test_stiff_field_exits_zero(self, capsys):
+        # exp(l_gtilde * horizon) overflows here; the conditions report FAIL
+        code, out, _ = run(capsys, "approximate", "--field", "x2;(1 - x1^2)*x2 - x1",
+                           "--domain", "-2.5:2.5,-3:3", "--x0", "1,0",
+                           "--horizon", "0.5", "--features", "16")
+        assert code == 0
+        assert "condition_b    FAIL" in out
+        assert out.splitlines()[-1].startswith("sup_traj_error = ")
+
     def test_domain_field_dimension_mismatch(self, capsys):
         code, _, err = run(capsys, "approximate", "--field", "x2;-x1",
                            "--domain", "-1:1", "--x0", "1,0", "--horizon", "1")
         assert code == 1
         assert err.startswith("ERROR usage:")
+
+
+def test_import_skips_scipy_stats_and_spatial():
+    code = ("import sys, ltcsim; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.spatial'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "[]"

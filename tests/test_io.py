@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ltcsim import (
     FormatError,
+    LtcNetwork,
     Method,
     SolverConfig,
     Trajectory,
@@ -17,7 +19,22 @@ from ltcsim import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from helpers import two_neuron_chain
+from helpers import networks, two_neuron_chain
+
+def reference_document(net):
+    """The document as the JSON encoder writes it from the item views."""
+    doc = {
+        "neurons": [{"cm": p.cm, "g_leak": p.g_leak, "v_leak": p.v_leak}
+                    for p in net.neurons],
+        "chemical_synapses": [
+            {"src": s.src, "dst": s.dst, "w": s.w, "gamma": s.gamma, "mu": s.mu,
+             "e_rev": s.e_rev}
+            for s in net.chem
+        ],
+        "gap_junctions": [{"a": g.a, "b": g.b, "w_hat": g.w_hat} for g in net.gaps],
+        "n_output": net.n_output,
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 MINIMAL = """
 {
@@ -45,6 +62,30 @@ class TestNetworkDocument:
         for _ in range(50):
             net = random_network(rng)
             assert parse_network(serialize_network(net)) == net
+
+    @settings(max_examples=200, deadline=None)
+    @given(networks())
+    def test_serializer_matches_json_encoder(self, net):
+        text = serialize_network(net)
+        assert text == reference_document(net)
+        again = parse_network(text)
+        assert again == net
+        assert again.neurons == net.neurons and again.chem == net.chem
+        assert again.gaps == net.gaps
+
+    def test_array_and_tuple_networks_agree(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            net = random_network(rng)
+            cols = {f: [getattr(x, f) for x in items]
+                    for items, fields in ((net.neurons, ("cm", "g_leak", "v_leak")),
+                                          (net.chem, ("src", "dst", "w", "gamma",
+                                                      "mu", "e_rev")),
+                                          (net.gaps, ("a", "b", "w_hat")))
+                    for f in fields}
+            arrays = LtcNetwork.from_arrays(**cols, n_output=net.n_output)
+            assert arrays == net and repr(arrays) == repr(net)
+            assert serialize_network(arrays) == serialize_network(net)
 
     def test_serialized_floats_are_exact(self):
         net = two_neuron_chain()
@@ -97,6 +138,35 @@ class TestNetworkDocument:
             "n_output": 1,
         }
         with pytest.raises(FormatError, match="out of range"):
+            parse_network(json.dumps(doc))
+
+    def test_first_bad_item_named(self):
+        syn = {"src": 0, "dst": 1, "w": 1, "gamma": 1, "mu": 0, "e_rev": 0}
+        doc = {"neurons": [{"cm": 1, "g_leak": 1, "v_leak": 0}] * 2,
+               "chemical_synapses": [dict(syn) for _ in range(6)], "n_output": 1}
+        doc["chemical_synapses"][2]["w"] = -1.0
+        doc["chemical_synapses"][4]["w"] = -2.0
+        with pytest.raises(FormatError, match=r"chemical_synapses\[2\]: w must be >= 0"):
+            parse_network(json.dumps(doc))
+        # a value error still wins over a type error further down the list
+        doc["chemical_synapses"][4]["w"] = "heavy"
+        with pytest.raises(FormatError, match=r"chemical_synapses\[2\]: w"):
+            parse_network(json.dumps(doc))
+        doc["chemical_synapses"][1]["mu"] = None
+        with pytest.raises(FormatError, match=r"chemical_synapses\[1\]\.mu: expected"):
+            parse_network(json.dumps(doc))
+        doc["chemical_synapses"] = [dict(syn) for _ in range(6)]
+        doc["chemical_synapses"][3]["dst"] = 7
+        doc["chemical_synapses"][5]["dst"] = 9
+        with pytest.raises(FormatError, match=r"chemical_synapses\[3\]: index out of range"):
+            parse_network(json.dumps(doc))
+
+    def test_index_beyond_intp_out_of_range(self):
+        doc = {"neurons": [{"cm": 1, "g_leak": 1, "v_leak": 0}] * 2,
+               "chemical_synapses": [{"src": 0, "dst": 10**30, "w": 1, "gamma": 1,
+                                      "mu": 0, "e_rev": 0}],
+               "n_output": 1}
+        with pytest.raises(FormatError, match=r"chemical_synapses\[0\]: index out of range"):
             parse_network(json.dumps(doc))
 
     def test_non_numeric_value(self):

@@ -1,7 +1,10 @@
 """Verification: tau intervals, state boxes, monitors, conservation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ltcsim import (
     ChemicalSynapse,
@@ -10,6 +13,8 @@ from ltcsim import (
     Method,
     NeuronParams,
     SolverConfig,
+    TauInterval,
+    Trajectory,
     UnsupportedTopologyError,
     ViolationKind,
     conservation_check,
@@ -20,7 +25,7 @@ from ltcsim import (
     state_bounds,
     tau_bounds,
 )
-from helpers import box_arrays, gap_ring, leak_neuron
+from helpers import box_arrays, gap_ring, leak_neuron, networks
 
 
 def _one_incoming(w=1.0, w_hat=None):
@@ -80,6 +85,27 @@ class TestTauBounds:
         with pytest.raises(IndexError):
             tau_bounds(3, leak_neuron())
 
+    @settings(max_examples=200, deadline=None)
+    @given(networks(bound=1e100))
+    def test_equals_closed_form(self, net):
+        # loads summed in the documented order: leak, incoming synapses,
+        # then gap junctions a-side before b-side
+        for i, p in enumerate(net.neurons):
+            chem = gap = 0.0
+            for s in net.chem:
+                if s.dst == i:
+                    chem += s.w
+            for g in net.gaps:
+                if g.a == i:
+                    gap += g.w_hat
+            for g in net.gaps:
+                if g.b == i:
+                    gap += g.w_hat
+            with np.errstate(divide="ignore", over="ignore"):  # tau may be inf
+                tau_min = float(np.float64(p.cm) / (p.g_leak + chem + gap))
+                tau_max = float(np.float64(p.cm) / (p.g_leak + 0.0 + gap))
+            assert tau_bounds(i, net) == TauInterval(i, tau_min, tau_max)
+
 
 class TestStateBounds:
     def test_no_incoming_point_box(self):
@@ -108,6 +134,31 @@ class TestStateBounds:
         net = LtcNetwork(neurons, (), (GapJunction(0, 1, 1.0),), 1)
         with pytest.raises(UnsupportedTopologyError):
             state_bounds(net)
+
+    @settings(max_examples=200, deadline=None)
+    @given(networks())
+    def test_equals_closed_form(self, net):
+        if net.gaps:
+            return
+        for i, (p, box) in enumerate(zip(net.neurons, state_bounds(net))):
+            erevs = [s.e_rev for s in net.chem if s.dst == i]
+            lo = min(p.v_leak, min(erevs)) if erevs else p.v_leak
+            hi = max(p.v_leak, max(erevs)) if erevs else p.v_leak
+            # bitwise, so that 0.0 and -0.0 resolve as Python's min/max do
+            assert (math.copysign(1, box.lo), box.lo) == (math.copysign(1, lo), lo)
+            assert (math.copysign(1, box.hi), box.hi) == (math.copysign(1, hi), hi)
+
+    def test_signed_zero_ties(self):
+        # equal zeros resolve as Python's min/max do: the leak, then the
+        # earliest synapse wins
+        neurons = (NeuronParams(1, 1, 1.0), NeuronParams(1, 1, -1.0),
+                   NeuronParams(1, 1, 0.0))
+        syns = (ChemicalSynapse(0, 0, 1, 1, 0, 0.0), ChemicalSynapse(1, 0, 1, 1, 0, -0.0),
+                ChemicalSynapse(0, 1, 1, 1, 0, -0.0), ChemicalSynapse(1, 1, 1, 1, 0, 0.0),
+                ChemicalSynapse(0, 2, 1, 1, 0, -0.0))
+        boxes = state_bounds(LtcNetwork(neurons, syns, (), 1))
+        got = [(math.copysign(1, v), v) for b in boxes for v in (b.lo, b.hi)]
+        assert got == [(1, 0.0), (1, 1.0), (-1, -1.0), (-1, -0.0), (1, 0.0), (1, 0.0)]
 
     def test_monotone_widening(self):
         rng = np.random.default_rng(22)
@@ -155,6 +206,28 @@ class TestMonitor:
         traj = simulate(ring, [1.0, 0.0, -1.0], SolverConfig(Method.RK4, 1e-2, 1.0, 1))
         report = monitor_trajectory(traj, ring, 1e-6)
         assert report.ok  # tau is constant for gap-only networks
+
+    def test_non_finite_states_reported(self):
+        net = _one_incoming()
+        states = np.zeros((4, 3))
+        states[1, 2] = np.nan
+        states[2, 0] = np.inf
+        states[3] = -np.inf
+        traj = Trajectory(np.arange(4.0), states)
+        for checked in (net, gap_ring()):
+            report = monitor_trajectory(traj, checked, 1e-6)
+            found = [(v.time, v.neuron) for v in report.entries
+                     if v.kind is ViolationKind.NON_FINITE]
+            assert found == [(1.0, 2), (2.0, 0), (3.0, 0), (3.0, 1), (3.0, 2)]
+            assert all(math.isnan(v.bound) for v in report.entries
+                       if v.kind is ViolationKind.NON_FINITE)
+
+    def test_bad_tolerance_rejected(self):
+        net = leak_neuron()
+        traj = simulate(net, [0.0], SolverConfig(Method.RK4, 0.1, 1.0, 1))
+        for tol in (np.nan, np.inf, -5.0):
+            with pytest.raises(ValueError, match="tolerance"):
+                monitor_trajectory(traj, net, tol)
 
     def test_dimension_mismatch(self):
         from ltcsim import DimensionMismatchError
