@@ -60,9 +60,6 @@ from .solver import (
     Trajectory,
     integrate_field,
     simulate,
-    step_euler,
-    step_rk4,
-    step_semi_implicit,
 )
 from .verify import (
     StateBox,

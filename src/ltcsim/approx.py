@@ -288,16 +288,16 @@ def estimate_lipschitz(
 class AugmentedSystem:
     """(n+N)-dimensional system tracking the target in its first n coordinates.
 
-    ``block_w`` stores [[0, B_rev], [0, E]]: the upper-right block is the
-    reversal-encoded readout (readout / w_l) and the lower-right block the
-    hidden drive matrix E = C (w_l B_rev).  Columns 0..n-1 are exactly
-    zero, which is what keeps the realized network feed-forward into the
-    outputs.
+    ``readout_block`` (n x N) is the reversal-encoded readout B_rev =
+    readout / w_l and ``hidden_block`` (N x N) the hidden drive matrix
+    E = C (w_l B_rev).  Only the N hidden coordinates drive anything, which
+    is what keeps the realized network feed-forward into the outputs.
     """
 
     n: int
     N: int
-    block_w: np.ndarray     # (n+N, n+N)
+    readout_block: np.ndarray  # (n, N)
+    hidden_block: np.ndarray   # (N, N)
     bias_aug: np.ndarray    # (n+N,) = [0; mu]
     resting_aug: np.ndarray  # (n+N,) = [A1; A2]
     tau_base: float
@@ -305,15 +305,16 @@ class AugmentedSystem:
 
     def __post_init__(self):
         dim = self.n + self.N
-        self.block_w = np.asarray(self.block_w, dtype=float)
+        self.readout_block = np.asarray(self.readout_block, dtype=float)
+        self.hidden_block = np.asarray(self.hidden_block, dtype=float)
         self.bias_aug = np.asarray(self.bias_aug, dtype=float)
         self.resting_aug = np.asarray(self.resting_aug, dtype=float)
-        if self.block_w.shape != (dim, dim):
-            raise ValueError(f"block_w shape {self.block_w.shape}, expected {(dim, dim)}")
+        shapes = (self.readout_block.shape, self.hidden_block.shape)
+        if shapes != ((self.n, self.N), (self.N, self.N)):
+            raise ValueError(f"readout_block and hidden_block shapes {shapes}, "
+                             f"expected {((self.n, self.N), (self.N, self.N))}")
         if self.bias_aug.shape != (dim,) or self.resting_aug.shape != (dim,):
             raise ValueError("bias_aug and resting_aug must have length n + N")
-        if self.block_w[:, : self.n].any():
-            raise ValueError("columns 0..n-1 of block_w must be exactly zero")
         if self.bias_aug[: self.n].any():
             raise ValueError("first n entries of bias_aug must be zero")
         if self.tau_base <= 0:
@@ -323,22 +324,6 @@ class AugmentedSystem:
         # tau_base * w_l <= 0.01 is enforced by assemble_augmented_system;
         # the constructor stays permissive so check_tau_conditions can
         # describe failing parameter triples.
-
-    @property
-    def readout_block(self) -> np.ndarray:
-        return self.block_w[: self.n, self.n:]
-
-    @property
-    def hidden_block(self) -> np.ndarray:
-        return self.block_w[self.n:, self.n:]
-
-    @property
-    def drive_matrix(self) -> np.ndarray:
-        """Drive coefficients [[0, w_l * B_rev], [0, E]] of the dynamics."""
-        out = np.zeros_like(self.block_w)
-        out[: self.n, self.n:] = self.w_l * self.readout_block
-        out[self.n:, self.n:] = self.hidden_block
-        return out
 
 
 def assemble_augmented_system(
@@ -362,16 +347,13 @@ def assemble_augmented_system(
     nf = fit.n_features
     b_rev = fit.readout_matrix / w_l
     e_block = fit.projection_matrix @ (w_l * b_rev)
-    block_w = np.zeros((n + nf, n + nf))
-    block_w[:n, n:] = b_rev
-    block_w[n:, n:] = e_block
     a1 = np.zeros(n) if resting_a1 is None else np.asarray(resting_a1, dtype=float)
     a2 = np.zeros(nf) if resting_a2 is None else np.asarray(resting_a2, dtype=float)
     if a1.shape != (n,) or a2.shape != (nf,):
         raise ValueError("resting vectors must have shapes (n,) and (N,)")
     bias_aug = np.concatenate([np.zeros(n), fit.bias])
     resting_aug = np.concatenate([a1, a2])
-    return AugmentedSystem(n, nf, block_w, bias_aug, resting_aug, tau_base, w_l)
+    return AugmentedSystem(n, nf, b_rev, e_block, bias_aug, resting_aug, tau_base, w_l)
 
 
 def augmented_rhs(system: AugmentedSystem):
@@ -403,8 +385,13 @@ def augmented_rhs(system: AugmentedSystem):
 
 def estimate_gtilde_lipschitz(system: AugmentedSystem) -> float:
     """Lipschitz constant estimate for the augmented drive: twice the
-    constant of z -> W sigma(z) + A bounded by |W|_2 * sup|sigma'|."""
-    return float(np.linalg.norm(system.drive_matrix, 2) * 0.25 * 2.0)
+    constant of z -> W sigma(z) + A bounded by |W|_2 * sup|sigma'|.
+
+    W = [[0, w_l B_rev], [0, E]] has the singular values of its nonzero
+    columns [w_l B_rev; E], so only that (n+N) x N block is decomposed.
+    """
+    drive = np.vstack([system.w_l * system.readout_block, system.hidden_block])
+    return float(np.linalg.norm(drive, 2) * 0.25 * 2.0)
 
 
 @dataclass
@@ -503,8 +490,6 @@ def realize_as_ltc(system: AugmentedSystem) -> LtcNetwork:
     constant drives.
     """
     n, nf = system.n, system.N
-    if not np.isfinite(system.block_w).all():
-        raise RealizationError("block_w contains non-finite entries")
     tau = system.tau_base
     mu = system.bias_aug[n:]
     # Row j of the stacked [E; B_rev]^T lists the targets of hidden source
@@ -556,7 +541,8 @@ class PipelineConfig:
         for name in ("n_features", "n_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("tau_base", "w_l", "ltc_dt", "ref_dt"):
+        positive = ("tau_base", "w_l", "gamma_scale", "ltc_dt", "ref_dt")
+        for name in positive + (() if self.eta is None else ("eta",)):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not (math.isfinite(self.ridge) and self.ridge >= 0):

@@ -72,8 +72,7 @@ def _cmd_simulate(args) -> int:
     net = read_network(args.net)
     init = _parse_floats(args.init, "--init")
     try:
-        method = Method.from_string(args.method)
-        config = SolverConfig(method, args.dt, args.t_end, args.record_every)
+        config = SolverConfig(Method(args.method), args.dt, args.t_end, args.record_every)
     except ValueError as exc:
         raise _UsageError(str(exc))
     traj = simulate(net, init, config)
@@ -119,7 +118,9 @@ def _cmd_verify(args) -> int:
     if report.ok:
         print(f"OK: no violations at tolerance {_fmt(report.tolerance)}")
         return 0
-    print(f"{len(report.entries)} violation(s) at tolerance {_fmt(report.tolerance)}")
+    summary = f"{len(report.entries)} violation(s) at tolerance {_fmt(report.tolerance)}"
+    print(summary)
+    print(f"ERROR numeric: {summary}", file=sys.stderr)
     return 3
 
 

@@ -342,21 +342,43 @@ def neuron_derivative(i: int, state, net: LtcNetwork) -> float:
 
 
 def _chem_activations(net: LtcNetwork, u: np.ndarray) -> np.ndarray:
-    """Per-synapse sigmoid activations at state ``u``."""
-    return expit(net._gamma * (u[net._src] + net._mu))
+    """Per-synapse sigmoid activations at state ``u``, or per row of a 2-D ``u``.
+
+    For rows, ``take`` gathers several times faster than ``u[:, src]``; on
+    one state the plain gather is the fastest (the derivative's hot path).
+    """
+    pre = u[net._src] if u.ndim == 1 else u.take(net._src, axis=1)
+    return expit(net._gamma * (pre + net._mu))
+
+
+def _inflow(net: LtcNetwork, base, chem: np.ndarray, gap) -> np.ndarray:
+    """Per-neuron ``base`` + chemical terms summed over ``dst`` + gap terms
+    summed over the gap endpoints (a-side, then b-side), in that order.
+
+    This is the one accumulation behind the derivative, the semi-implicit
+    step and the conductance loads, so all of them sum in the order of the
+    per-neuron loop.  A 2-D ``chem`` (one row per state) is summed row by
+    row in the same order through the offset indices ``dst + size * row``.
+    """
+    size = net.size
+    if chem.ndim == 1:
+        chem_in = np.bincount(net._dst, weights=chem, minlength=size)
+    else:
+        rows = chem.shape[0]
+        dst = (net._dst + size * np.arange(rows)[:, None]).ravel()
+        chem_in = np.bincount(dst, weights=chem.ravel(),
+                              minlength=rows * size).reshape(rows, size)
+    return base + chem_in + np.bincount(net._gself, weights=gap, minlength=size)
 
 
 def _conductance_loads(net: LtcNetwork, sig: np.ndarray) -> np.ndarray:
     """Per-neuron g_leak + sum(w * sig) + sum(w_hat) for given activations.
 
-    Shared by the effective time-constant and the interval bounds of
-    ``verify.tau_bounds`` so the membership inequality holds exactly in
-    floating point (one accumulation order for all three).
+    Shared by the effective time-constant, the trajectory monitor and the
+    interval bounds of ``verify.tau_bounds`` so the membership inequality
+    holds exactly in floating point (one accumulation order for all).
     """
-    size = net.size
-    chem = np.bincount(net._dst, weights=net._w * sig, minlength=size)
-    gap = np.bincount(net._gself, weights=net._gw2, minlength=size)
-    return net._g + chem + gap
+    return _inflow(net, net._g, net._w * sig, net._gw2)
 
 
 def network_derivative(state, net: LtcNetwork) -> np.ndarray:
@@ -366,15 +388,10 @@ def network_derivative(state, net: LtcNetwork) -> np.ndarray:
         raise DimensionMismatchError(
             f"state has shape {u.shape}, network has {net.size} neurons"
         )
-    size = net.size
     sig = _chem_activations(net, u)
-    chem = np.bincount(
-        net._dst, weights=net._w * sig * (net._erev - u[net._dst]), minlength=size
-    )
-    gap = np.bincount(
-        net._gself, weights=net._gw2 * (u[net._gother] - u[net._gself]), minlength=size
-    )
-    return (net._g * (net._vleak - u) + chem + gap) / net._cm
+    return _inflow(net, net._g * (net._vleak - u),
+                   net._w * sig * (net._erev - u[net._dst]),
+                   net._gw2 * (u[net._gother] - u[net._gself])) / net._cm
 
 
 def effective_time_constant(i: int, state, net: LtcNetwork) -> float:

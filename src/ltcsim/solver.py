@@ -23,15 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, IntegrationDivergedError
-from .model import LtcNetwork, _chem_activations, network_derivative, validate_state
+from .model import (
+    LtcNetwork,
+    _chem_activations,
+    _inflow,
+    network_derivative,
+    validate_state,
+)
 
 __all__ = [
     "Method",
     "SolverConfig",
     "Trajectory",
-    "step_euler",
-    "step_rk4",
-    "step_semi_implicit",
     "simulate",
     "integrate_field",
 ]
@@ -42,14 +45,6 @@ class Method(enum.Enum):
     RK4 = "rk4"
     SEMI_IMPLICIT = "semi-implicit"
 
-    @classmethod
-    def from_string(cls, name: str) -> "Method":
-        for m in cls:
-            if m.value == name:
-                return m
-        raise ValueError(f"unknown method {name!r}; expected one of "
-                         f"{[m.value for m in cls]}")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -59,6 +54,7 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "method", Method(self.method))
         if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
             raise ValueError(f"dt and t_end must be finite, got {self.dt} and {self.t_end}")
         if self.dt <= 0:
@@ -105,53 +101,11 @@ def _rk4_update(f, u: np.ndarray, dt: float) -> np.ndarray:
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step_euler(state, net: LtcNetwork, dt: float) -> np.ndarray:
-    """One explicit Euler step: u + dt * f(u)."""
-    u = validate_state(state, net)
-    out = u + dt * network_derivative(u, net)
-    _check_finite(out)
-    return out
-
-
-def step_rk4(state, net: LtcNetwork, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step."""
-    u = validate_state(state, net)
-    out = _rk4_update(lambda v: network_derivative(v, net), u, dt)
-    _check_finite(out)
-    return out
-
-
 def _semi_implicit_update(net: LtcNetwork, u: np.ndarray, dt: float) -> np.ndarray:
-    size = net.size
-    sig = _chem_activations(net, u)
-    wsig = net._w * sig
-    a_num = (
-        net._g * net._vleak
-        + np.bincount(net._dst, weights=wsig * net._erev, minlength=size)
-        + np.bincount(net._gself, weights=net._gw2 * u[net._gother], minlength=size)
-    )
-    b_den = (
-        net._g
-        + np.bincount(net._dst, weights=wsig, minlength=size)
-        + np.bincount(net._gself, weights=net._gw2, minlength=size)
-    )
+    wsig = net._w * _chem_activations(net, u)
+    a_num = _inflow(net, net._g * net._vleak, wsig * net._erev, net._gw2 * u[net._gother])
+    b_den = _inflow(net, net._g, wsig, net._gw2)
     return (u + dt * (a_num / net._cm)) / (1.0 + dt * (b_den / net._cm))
-
-
-def step_semi_implicit(state, net: LtcNetwork, dt: float) -> np.ndarray:
-    """One frozen-presynaptic backward-Euler step; unconditionally bounded
-    on chemical-only networks."""
-    u = validate_state(state, net)
-    out = _semi_implicit_update(net, u, dt)
-    _check_finite(out)
-    return out
-
-
-def _check_finite(u: np.ndarray, trajectory: Trajectory | None = None):
-    if u.size and not np.isfinite(u).all():
-        raise IntegrationDivergedError(
-            "integration diverged: non-finite state component", trajectory
-        )
 
 
 def _plan_steps(dt: float, t_end: float) -> tuple[int, float]:
@@ -191,17 +145,26 @@ def _run(update, u0: np.ndarray, config: SolverConfig) -> Trajectory:
     return Trajectory(np.array(times), np.array(states))
 
 
+def _update(method: Method, rhs, net: LtcNetwork | None = None):
+    """One step ``(u, dt) -> u_next`` of ``method`` for ``u' = rhs(u)``; the
+    semi-implicit scheme needs the network structure, given as ``net``."""
+    if method is Method.EULER:
+        return lambda u, dt: u + dt * rhs(u)
+    if method is Method.RK4:
+        return lambda u, dt: _rk4_update(rhs, u, dt)
+    if net is None:
+        raise ValueError("integrate_field supports euler and rk4 only")
+    return lambda u, dt: _semi_implicit_update(net, u, dt)
+
+
 def simulate(net: LtcNetwork, u0, config: SolverConfig) -> Trajectory:
-    """Integrate the network from t=0 to t_end; first recorded row is u0."""
+    """Integrate the network from t=0 to t_end; first recorded row is u0.
+
+    A single step of size ``dt`` is
+    ``simulate(net, u, SolverConfig(method, dt, dt)).states[-1]``.
+    """
     u0 = validate_state(u0, net)
-    if config.method is Method.SEMI_IMPLICIT:
-        update = lambda u, dt: _semi_implicit_update(net, u, dt)
-    else:
-        rhs = lambda u: network_derivative(u, net)
-        if config.method is Method.EULER:
-            update = lambda u, dt: u + dt * rhs(u)
-        else:
-            update = lambda u, dt: _rk4_update(rhs, u, dt)
+    update = _update(config.method, lambda u: network_derivative(u, net), net)
     return _run(update, u0, config)
 
 
@@ -213,10 +176,4 @@ def integrate_field(f, u0, config: SolverConfig) -> Trajectory:
     network structure and is not available here.
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-    if config.method is Method.EULER:
-        update = lambda u, dt: u + dt * f(u)
-    elif config.method is Method.RK4:
-        update = lambda u, dt: _rk4_update(f, u, dt)
-    else:
-        raise ValueError("integrate_field supports euler and rk4 only")
-    return _run(update, u0, config)
+    return _run(_update(config.method, f), u0, config)

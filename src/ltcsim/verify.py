@@ -154,43 +154,37 @@ def monitor_trajectory(
             f"{net.size} neurons"
         )
     tau_min, tau_max = net._tau_range
-    if net.n_gaps:
-        boxes = None
-    else:
+    kinds = [ViolationKind.TAU_LOW, ViolationKind.TAU_HIGH]
+    bounds = [tau_min, tau_max]
+    if not net.n_gaps:
         boxes = state_bounds(net)
-        lo = np.array([b.lo for b in boxes]) - tolerance
-        hi = np.array([b.hi for b in boxes]) + tolerance
+        kinds += [ViolationKind.STATE_LOW, ViolationKind.STATE_HIGH]
+        bounds += [np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])]
+        lo, hi = bounds[2] - tolerance, bounds[3] + tolerance
+    bounds = np.array(bounds)  # (kind, neuron)
     report = ViolationReport(tolerance=tolerance)
     for row, i in zip(*np.nonzero(~np.isfinite(traj.states))):
         report.entries.append(
             Violation(float(traj.times[row]), int(i), ViolationKind.NON_FINITE,
                       float(traj.states[row, i]), math.nan)
         )
-    for t, u in zip(traj.times, traj.states):
-        sig = _chem_activations(net, u)
+    # Rows are checked in blocks that keep the (row, synapse) activations
+    # near 2**16 values.  Flags and values are stacked as (row, kind, neuron),
+    # so one nonzero lists the entries row by row, kind by kind, neuron by neuron.
+    block = max(1, 2**16 // max(net.n_chem, 1))
+    for start in range(0, traj.n_points, block):
+        u = traj.states[start:start + block]
         with np.errstate(divide="ignore"):
-            tau = net._cm / _conductance_loads(net, sig)
-        for i in np.nonzero(tau < tau_min)[0]:
-            report.entries.append(
-                Violation(float(t), int(i), ViolationKind.TAU_LOW,
-                          float(tau[i]), float(tau_min[i]))
-            )
-        for i in np.nonzero(tau > tau_max)[0]:
-            report.entries.append(
-                Violation(float(t), int(i), ViolationKind.TAU_HIGH,
-                          float(tau[i]), float(tau_max[i]))
-            )
-        if boxes is not None:
-            for i in np.nonzero(u < lo)[0]:
-                report.entries.append(
-                    Violation(float(t), int(i), ViolationKind.STATE_LOW,
-                              float(u[i]), float(boxes[i].lo))
-                )
-            for i in np.nonzero(u > hi)[0]:
-                report.entries.append(
-                    Violation(float(t), int(i), ViolationKind.STATE_HIGH,
-                              float(u[i]), float(boxes[i].hi))
-                )
+            tau = net._cm / _conductance_loads(net, _chem_activations(net, u))
+        flags, values = [tau < tau_min, tau > tau_max], [tau, tau]
+        if not net.n_gaps:
+            flags += [u < lo, u > hi]
+            values += [u, u]
+        rows, kind, i = np.nonzero(np.stack(flags, axis=1))
+        report.entries += map(
+            Violation, traj.times[start + rows].tolist(), i.tolist(),
+            [kinds[k] for k in kind.tolist()],
+            np.stack(values, axis=1)[rows, kind, i].tolist(), bounds[kind, i].tolist())
     return report
 
 

@@ -165,9 +165,14 @@ class TestAssemble:
         rng = np.random.default_rng(1)
         fit = random_fit(rng, 2, 8)
         system = assemble_augmented_system(fit, 10.0, 1e-3)
-        assert system.block_w.shape == (10, 10)
-        assert (system.block_w[:, :2] == 0.0).all()
+        # only the 8 hidden coordinates drive: the n = 2 output columns of
+        # the augmented coupling are not stored at all
+        assert system.readout_block.shape == (2, 8)
+        assert system.hidden_block.shape == (8, 8)
         assert (system.bias_aug[:2] == 0.0).all()
+        with pytest.raises(ValueError, match="readout_block and hidden_block"):
+            AugmentedSystem(2, 8, np.zeros((2, 10)), system.hidden_block,
+                            system.bias_aug, system.resting_aug, 10.0, 1e-3)
 
     def test_hidden_block_is_triple_product(self):
         rng = np.random.default_rng(2)
@@ -180,6 +185,18 @@ class TestAssemble:
         assert system.w_l * system.readout_block == pytest.approx(
             fit.readout_matrix, rel=1e-12
         )
+
+    def test_gtilde_equals_padded_drive_norm(self):
+        # the (n+N)^2 drive [[0, w_l B_rev], [0, E]] has the singular values
+        # of its nonzero columns, which is all the estimate decomposes
+        rng = np.random.default_rng(5)
+        for n, nf in ((1, 4), (2, 8), (3, 32)):
+            system = assemble_augmented_system(random_fit(rng, n, nf), 10.0, 1e-3)
+            padded = np.zeros((n + nf, n + nf))
+            padded[:n, n:] = system.w_l * system.readout_block
+            padded[n:, n:] = system.hidden_block
+            assert estimate_gtilde_lipschitz(system) == pytest.approx(
+                0.5 * np.linalg.norm(padded, 2), rel=1e-13)
 
     def test_tau_wl_gate(self):
         rng = np.random.default_rng(3)
@@ -211,8 +228,8 @@ class TestTauConditions:
 
     def test_small_tau_fails_condition_a(self):
         system = AugmentedSystem(
-            n=1, N=1, block_w=np.zeros((2, 2)), bias_aug=np.zeros(2),
-            resting_aug=np.zeros(2), tau_base=1.0, w_l=1.0,
+            n=1, N=1, readout_block=np.zeros((1, 1)), hidden_block=np.zeros((1, 1)),
+            bias_aug=np.zeros(2), resting_aug=np.zeros(2), tau_base=1.0, w_l=1.0,
         )
         cond = check_tau_conditions(system, [[-1.0, 1.0]], 0.1, 0.0, 1.0, 1.0)
         assert not cond.ok_a
@@ -328,11 +345,11 @@ class TestRealize:
         rng = np.random.default_rng(9)
         for _ in range(40):
             n, nf = int(rng.integers(1, 4)), int(rng.integers(0, 9))
-            block = np.zeros((n + nf, n + nf))
-            block[:, n:] = rng.normal(size=(n + nf, nf)) * 10.0 ** rng.integers(-3, 4)
+            block = rng.normal(size=(n + nf, nf)) * 10.0 ** rng.integers(-3, 4)
             block[rng.uniform(size=block.shape) < 0.3] = 0.0
             bias = np.concatenate([np.zeros(n), rng.normal(size=nf)])
-            system = AugmentedSystem(n, nf, block, bias, rng.normal(size=n + nf),
+            system = AugmentedSystem(n, nf, block[:n], block[n:], bias,
+                                     rng.normal(size=n + nf),
                                      float(rng.uniform(1, 100)), 1e-4)
             net, ref = realize_as_ltc(system), self._loop_realization(system)
             assert net == ref and net.chem == ref.chem and net.neurons == ref.neurons
@@ -340,15 +357,28 @@ class TestRealize:
             assert (net._vleak.view(np.int64) == ref._vleak.view(np.int64)).all()
 
     def test_unrepresentable_entry(self):
-        block = np.zeros((2, 2))
-        block[0, 1] = 1e308  # N * entry / w_l overflows
-        block[1, 1] = 1e308
-        system = AugmentedSystem(1, 1, block, np.zeros(2), np.zeros(2), 1.0, 1e-3)
+        readout = np.array([[1e308]])
+        hidden = np.array([[1e308]])  # N * entry / w_l overflows
+        system = AugmentedSystem(1, 1, readout, hidden, np.zeros(2), np.zeros(2),
+                                 1.0, 1e-3)
         with pytest.raises(RealizationError, match=r"\(0, 0\)"):
             realize_as_ltc(system)
+        for bad in (np.nan, np.inf, -np.inf):  # a non-finite entry is named too
+            system.hidden_block[0, 0], system.readout_block[0, 0] = 1.0, bad
+            with pytest.raises(RealizationError, match=r"readout block entry \(0, 0\)"):
+                realize_as_ltc(system)
 
 
 class TestPipeline:
+    def test_config_rejects_bad_values(self):
+        bad = {"eta": (math.nan, math.inf, -1.0, 0.0),
+               "gamma_scale": (math.nan, math.inf, -1.0, 0.0)}
+        for name, values in bad.items():
+            for value in values:
+                with pytest.raises(ValueError, match=name):
+                    PipelineConfig(**{name: value})
+        assert PipelineConfig(eta=0.05, gamma_scale=2.0).eta == 0.05
+
     def test_zero_field_trivial(self):
         fld = VectorField(2, lambda x: np.zeros(2), [[-1, 1], [-1, 1]])
         report = approximate_trajectory(fld, [0.0, 0.0], 1.0,

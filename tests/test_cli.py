@@ -1,20 +1,30 @@
 """CLI: subcommands, exit codes, error lines, reproducibility."""
 
+import contextlib
+import io
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ltcsim import (
     PipelineConfig,
+    Trajectory,
     approximate_trajectory,
     parse_network,
     read_trajectory,
     serialize_network,
+    trajectory_to_csv,
 )
 from ltcsim.cli import cli_dispatch
+from ltcsim.io import _fmt
 from helpers import gap_ring, leak_neuron, rotation_field, two_neuron_chain
 
 
@@ -183,6 +193,99 @@ class TestErrorPaths:
                            "--method", "euler", "--out", str(tmp_path / "o.csv"))
         assert code == 3
         assert "diverged" in err
+
+
+ERROR_LINE = re.compile(r"^ERROR (usage|parse|numeric): ")
+
+
+def numbers(lo, hi):
+    """Flag values: finite numbers in [lo, hi], or nan, +-inf, zero, negative."""
+    return st.floats(lo, hi).map(repr) | st.sampled_from(
+        ["nan", "inf", "-inf", "0", "-0.0", "-0.5"])
+
+
+def dispatch(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_dispatch(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code, err):
+    """Documented exit code; a failure's first stderr line names its category."""
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert ERROR_LINE.match(err.splitlines()[0])
+    else:
+        assert err == ""
+
+
+def fresh_file(directory) -> str:
+    """A new empty file per example: truncating a file that holds data can
+    flush it to disk, which costs tens of milliseconds on some file systems."""
+    fd, path = tempfile.mkstemp(".csv", dir=directory)
+    os.close(fd)
+    return path
+
+
+@pytest.fixture(scope="module")
+def chain_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract")
+    (path / "net.json").write_text(serialize_network(two_neuron_chain()))
+    return path
+
+
+class TestContract:
+    # (dt, t_end) pairs stay within 40 steps, or diverge within a few
+    @given(st.tuples(st.floats(0.05, 0.5).map(repr), st.floats(0.5, 2.0).map(repr))
+           | st.tuples(numbers(0.05, 0.5), numbers(0.05, 2.0)) | st.just(("1000", "5000")),
+           st.integers(-1, 4),
+           st.lists(st.floats(-2.0, 2.0).map(repr), min_size=2, max_size=2)
+           | st.lists(numbers(-2.0, 2.0), min_size=1, max_size=3),
+           st.sampled_from(["euler", "rk4", "semi-implicit"]), numbers(0.0, 1e-3))
+    def test_simulate_then_verify(self, chain_dir, steps, every, init, method, tolerance):
+        dt, t_end = steps
+        net, csv = str(chain_dir / "net.json"), fresh_file(chain_dir)
+        code, _, err = dispatch("simulate", "--net", net, "--init=" + ",".join(init),
+                                "--dt=" + dt, "--t-end=" + t_end, "--method", method,
+                                "--record-every", str(every), "--out", csv)
+        assert_contract(code, err)
+        dt, t_end = float(dt), float(t_end)
+        if not (math.isfinite(dt) and math.isfinite(t_end) and 0 < dt <= t_end
+                and every >= 1):
+            assert code == 1
+            return
+        if len(init) != 2 or not all(math.isfinite(float(v)) for v in init):
+            assert code == 3
+            return
+        assert code in (0, 3)
+        if code:
+            return
+        code, out, err = dispatch("verify", "--net", net, "--traj", csv,
+                                  "--tolerance=" + tolerance)
+        assert_contract(code, err)
+        tolerance = float(tolerance)
+        assert code == (1 if not (math.isfinite(tolerance) and tolerance >= 0)
+                        else 3 if "violation(s)" in out else 0)
+
+    @given(st.integers(1, 6), st.data(), st.sampled_from([math.nan, math.inf, -math.inf]),
+           st.floats(0.0, 1e-3))
+    def test_verify_reports_injected_non_finite(self, chain_dir, rows, data, bad,
+                                                tolerance):
+        states = np.array(data.draw(st.lists(st.floats(-0.5, 1.0), min_size=2 * rows,
+                                             max_size=2 * rows))).reshape(rows, 2)
+        row, col = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, 1))
+        states[row, col] = bad
+        csv = fresh_file(chain_dir)
+        with open(csv, "w", encoding="utf-8") as fh:
+            fh.write(trajectory_to_csv(Trajectory(0.25 * np.arange(rows), states)))
+        code, out, err = dispatch("verify", "--net", str(chain_dir / "net.json"),
+                                  "--traj", csv, "--tolerance", repr(tolerance))
+        assert_contract(code, err)
+        assert code == 3
+        line = (f"VIOLATION NON_FINITE t={_fmt(0.25 * row)} neuron={col} "
+                f"value={_fmt(bad)} bound=nan")
+        assert out.splitlines().count(line) == 1
 
 
 class TestApproximate:

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 from ltcsim import (
     FormatError,
@@ -63,7 +63,6 @@ class TestNetworkDocument:
             net = random_network(rng)
             assert parse_network(serialize_network(net)) == net
 
-    @settings(max_examples=200, deadline=None)
     @given(networks())
     def test_serializer_matches_json_encoder(self, net):
         text = serialize_network(net)

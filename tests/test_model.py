@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ltcsim import (
     ChemicalSynapse,
@@ -20,7 +22,19 @@ from ltcsim import (
     random_network,
     tau_bounds,
 )
-from helpers import two_neuron_chain
+from helpers import networks, two_neuron_chain
+
+
+@st.composite
+def network_states(draw, values):
+    net = draw(networks(bound=1e100))
+    u = draw(st.lists(values, min_size=net.size, max_size=net.size))
+    return net, np.array(u, dtype=float)
+
+
+def float_bits(a):
+    """Bit patterns with every nan made one nan: -0.0 != 0.0, nan == nan."""
+    return np.where(np.isnan(a), np.nan, a).view(np.int64)
 
 
 class TestSigmoid:
@@ -158,6 +172,15 @@ class TestDerivatives:
                 )
                 assert (vec == loop).all()
 
+    @given(network_states(st.floats(-2.0, 2.0) | st.floats(-1e100, 1e100)))
+    def test_matches_per_neuron_loop_property(self, case):
+        net, u = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            vec = network_derivative(u, net)
+            loop = np.array([neuron_derivative(i, u, net) for i in range(net.size)],
+                            dtype=float)
+        assert (float_bits(vec) == float_bits(loop)).all()
+
     def test_index_out_of_range(self):
         net = two_neuron_chain()
         with pytest.raises(IndexError):
@@ -205,6 +228,15 @@ class TestEffectiveTimeConstant:
                 tb = tau_bounds(i, net)
                 tau = effective_time_constant(i, u, net)
                 assert tb.tau_min <= tau <= tb.tau_max
+
+    @given(network_states(st.floats(-2.0, 2.0) | st.floats(-1e100, 1e100)
+                          | st.sampled_from([math.inf, -math.inf])))
+    def test_interval_membership_property(self, case):
+        net, u = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(net.size):
+                tb = tau_bounds(i, net)
+                assert tb.tau_min <= effective_time_constant(i, u, net) <= tb.tau_max
 
 
 class TestTopologyAndInvariants:

@@ -8,12 +8,10 @@ from ltcsim import (
     Method,
     SolverConfig,
     integrate_field,
+    network_derivative,
     random_network,
     simulate,
     state_bounds,
-    step_euler,
-    step_rk4,
-    step_semi_implicit,
 )
 from helpers import box_arrays, driven_pair, gap_ring, leak_neuron, two_neuron_chain
 
@@ -22,30 +20,49 @@ def analytic_driven(times, v0, a, b, cm=1.0):
     return (v0 - a / b) * np.exp(-(b / cm) * times) + a / b
 
 
+def one_step(method, u, net, dt):
+    """A single step of ``method``: simulate over exactly one dt."""
+    return simulate(net, u, SolverConfig(method, dt, dt)).states[-1]
+
+
 class TestSteppers:
     def test_equilibrium_fixed_point(self):
         net = leak_neuron(v_leak=0.4)
         u = np.array([0.4])
-        for step in (step_euler, step_rk4, step_semi_implicit):
-            assert step(u, net, 0.5) == pytest.approx([0.4], abs=1e-15)
+        for method in Method:
+            assert one_step(method, u, net, 0.5) == pytest.approx([0.4], abs=1e-15)
 
     def test_euler_leak_value(self):
         net = leak_neuron()
-        assert step_euler([1.0], net, 0.1)[0] == pytest.approx(0.9, rel=1e-15)
+        assert one_step(Method.EULER, [1.0], net, 0.1)[0] == pytest.approx(0.9, rel=1e-15)
 
     def test_semi_implicit_leak_value(self):
         net = leak_neuron()
-        out = step_semi_implicit([1.0], net, 0.1)[0]
+        out = one_step(Method.SEMI_IMPLICIT, [1.0], net, 0.1)[0]
         assert out == pytest.approx(1.0 / 1.1, rel=1e-15)
+
+    def test_single_step_is_the_scheme(self):
+        # bitwise: one recorded step is u + dt f(u), and the classical RK4 sum
+        net = two_neuron_chain()
+        u, dt = np.array([0.2, 0.3]), 0.05
+        f = lambda v: network_derivative(v, net)
+        assert (one_step(Method.EULER, u, net, dt) == u + dt * f(u)).all()
+        k1 = f(u)
+        k2 = f(u + (0.5 * dt) * k1)
+        k3 = f(u + (0.5 * dt) * k2)
+        k4 = f(u + dt * k3)
+        rk4 = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert (one_step(Method.RK4, u, net, dt) == rk4).all()
 
     def test_euler_matches_rk4_to_second_order(self):
         # |euler - rk4| = O(dt^2): halving dt shrinks the gap about 4x
         net = two_neuron_chain()
         u = np.array([0.2, 0.3])
-        gap1 = np.max(np.abs(step_euler(u, net, 1e-3) - step_rk4(u, net, 1e-3)))
-        gap2 = np.max(np.abs(step_euler(u, net, 5e-4) - step_rk4(u, net, 5e-4)))
-        assert gap1 < 1e-5
-        assert gap1 / gap2 == pytest.approx(4.0, rel=0.15)
+        gaps = [np.max(np.abs(one_step(Method.EULER, u, net, dt)
+                              - one_step(Method.RK4, u, net, dt)))
+                for dt in (1e-3, 5e-4)]
+        assert gaps[0] < 1e-5
+        assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.15)
 
     def test_semi_implicit_box_preservation_any_dt(self):
         rng = np.random.default_rng(10)
@@ -56,7 +73,7 @@ class TestSteppers:
             for dt in (0.01, 0.1, 1.0, 10.0):
                 v = u.copy()
                 for _ in range(30):
-                    v = step_semi_implicit(v, net, dt)
+                    v = one_step(Method.SEMI_IMPLICIT, v, net, dt)
                 assert np.all(v >= lo - 1e-12)
                 assert np.all(v <= hi + 1e-12)
 
@@ -166,5 +183,14 @@ class TestSimulate:
             SolverConfig(Method.RK4, 0.5, 0.1, 1)
         with pytest.raises(ValueError):
             SolverConfig(Method.RK4, 0.1, 1.0, 0)
-        with pytest.raises(ValueError):
-            Method.from_string("heun")
+        with pytest.raises(ValueError, match="heun"):
+            SolverConfig("heun", 0.1, 1.0, 1)
+        # a method given by name runs that method, bit for bit
+        rng = np.random.default_rng(12)
+        net = random_network(rng)
+        u0 = rng.uniform(-1, 1, net.size)
+        for method in Method:
+            by_name = simulate(net, u0, SolverConfig(method.value, 0.1, 0.5))
+            by_enum = simulate(net, u0, SolverConfig(method, 0.1, 0.5))
+            assert SolverConfig(method.value, 0.1, 0.5).method is method
+            assert (by_name.states == by_enum.states).all()

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ltcsim import (
     ChemicalSynapse,
@@ -16,6 +17,7 @@ from ltcsim import (
     TauInterval,
     Trajectory,
     UnsupportedTopologyError,
+    Violation,
     ViolationKind,
     conservation_check,
     effective_time_constant,
@@ -85,7 +87,6 @@ class TestTauBounds:
         with pytest.raises(IndexError):
             tau_bounds(3, leak_neuron())
 
-    @settings(max_examples=200, deadline=None)
     @given(networks(bound=1e100))
     def test_equals_closed_form(self, net):
         # loads summed in the documented order: leak, incoming synapses,
@@ -135,7 +136,6 @@ class TestStateBounds:
         with pytest.raises(UnsupportedTopologyError):
             state_bounds(net)
 
-    @settings(max_examples=200, deadline=None)
     @given(networks())
     def test_equals_closed_form(self, net):
         if net.gaps:
@@ -236,6 +236,87 @@ class TestMonitor:
         traj = simulate(net, [1.0], SolverConfig(Method.RK4, 0.1, 1.0, 1))
         with pytest.raises(DimensionMismatchError):
             monitor_trajectory(traj, gap_ring(), 1e-6)
+
+
+def per_row_monitor(traj, net, tolerance):
+    """Reference monitor: each row, check and neuron one at a time, from
+    the public per-neuron functions."""
+    entries = [Violation(float(traj.times[row]), int(i), ViolationKind.NON_FINITE,
+                         float(traj.states[row, i]), math.nan)
+               for row, i in zip(*np.nonzero(~np.isfinite(traj.states)))]
+    taus = [tau_bounds(i, net) for i in range(net.size)]
+    boxes = None if net.n_gaps else state_bounds(net)
+    for t, u in zip(traj.times.tolist(), traj.states):
+        found = {kind: [] for kind in ViolationKind}
+        for i in range(net.size):
+            tau = effective_time_constant(i, u, net)
+            v = float(u[i])
+            checks = [(ViolationKind.TAU_LOW, tau, taus[i].tau_min, tau < taus[i].tau_min),
+                      (ViolationKind.TAU_HIGH, tau, taus[i].tau_max, tau > taus[i].tau_max)]
+            if boxes is not None:
+                checks += [
+                    (ViolationKind.STATE_LOW, v, boxes[i].lo, v < boxes[i].lo - tolerance),
+                    (ViolationKind.STATE_HIGH, v, boxes[i].hi, v > boxes[i].hi + tolerance)]
+            for kind, value, bound, hit in checks:
+                if hit:
+                    found[kind].append(Violation(t, i, kind, value, bound))
+        entries += [v for kind in ViolationKind for v in found[kind]]
+    return entries
+
+
+def entry_bits(entries):
+    """Entries with their floats as bit patterns, so that -0.0 and 0.0
+    differ and a NaN matches only the same NaN."""
+    return [(np.float64(v.time).tobytes(), v.neuron, v.kind, np.float64(v.value).tobytes(),
+             np.float64(v.bound).tobytes()) for v in entries]
+
+
+@st.composite
+def checked_trajectories(draw):
+    """A network and a trajectory with out-of-box, NaN and +-inf states,
+    some placed just inside or outside a box edge widened by 1e-6."""
+    net = draw(networks(bound=1e100))
+    rows = draw(st.integers(1, 5))
+    value = (st.floats(-2.0, 2.0) | st.floats(-1e100, 1e100)
+             | st.sampled_from([math.nan, math.inf, -math.inf]))
+    edges = [p.v_leak for p in net.neurons] + [s.e_rev for s in net.chem]
+    if edges:
+        value |= st.builds(lambda e, d: e + d, st.sampled_from(edges),
+                           st.sampled_from([0.0, 5e-7, -5e-7, 2e-6, -2e-6]))
+    states = draw(st.lists(value, min_size=rows * net.size, max_size=rows * net.size))
+    return net, Trajectory(0.5 * np.arange(rows), np.reshape(states, (rows, net.size)))
+
+
+class TestMonitorOracle:
+    @given(checked_trajectories(), st.sampled_from([0.0, 1e-6]))
+    def test_equals_per_row_oracle(self, case, tolerance):
+        net, traj = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = monitor_trajectory(traj, net, tolerance).entries
+            want = per_row_monitor(traj, net, tolerance)
+        assert entry_bits(got) == entry_bits(want)
+
+    def test_rows_span_several_blocks(self):
+        # fully wired hidden layers: 33,488 synapses checks one row per block,
+        # 19,880 synapses three rows per block (blocks of 3, 3 and 1 rows)
+        rng = np.random.default_rng(26)
+        for n_hidden in (182, 140):
+            size = n_hidden + 2
+            src, dst = np.divmod(np.arange(n_hidden * size), size)
+            m = src.shape[0]
+            net = LtcNetwork.from_arrays(
+                cm=rng.uniform(0.5, 2, size), g_leak=rng.uniform(0.5, 2, size),
+                v_leak=rng.uniform(-0.5, 0.5, size), src=src, dst=dst,
+                w=rng.uniform(0, 2, m), gamma=rng.uniform(0.5, 2, m),
+                mu=rng.uniform(-1, 1, m), e_rev=rng.uniform(-1, 1, m), n_output=2)
+            states = rng.uniform(-1.2, 1.2, (7, size))
+            states[2, 5] = np.nan
+            states[4, 0] = np.inf
+            states[6, -1] = -np.inf
+            traj = Trajectory(np.arange(7.0), states)
+            got = monitor_trajectory(traj, net, 1e-6).entries
+            assert any(v.kind is ViolationKind.STATE_HIGH for v in got)
+            assert entry_bits(got) == entry_bits(per_row_monitor(traj, net, 1e-6))
 
 
 class TestConservation:
