@@ -20,6 +20,7 @@ from .expr import parse_field
 from .io import (
     _csv_text,
     _fmt,
+    _write_text,
     read_network,
     read_trajectory,
     write_network,
@@ -159,8 +160,7 @@ def _cmd_approximate(args) -> int:
         header = ["t", *(f"x{i}_ref" for i in range(n)), *(f"x{i}_ltc" for i in range(n))]
         rows = np.column_stack([report.times, report.reference_states,
                                 report.network_outputs])
-        with open(args.out_traj, "w", encoding="utf-8") as fh:
-            fh.write(_csv_text(header, rows))
+        _write_text(args.out_traj, _csv_text(header, rows), "trajectory")
     cond = report.conditions
     report_lines = [
         "approximation report",
@@ -189,8 +189,7 @@ def _cmd_approximate(args) -> int:
     ]
     text = "\n".join(report_lines) + "\n"
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.report, text, "report")
     print(text, end="")
     return 0
 

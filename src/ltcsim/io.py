@@ -13,6 +13,7 @@ value serialized with 17 significant digits so read-back is bit-exact.
 from __future__ import annotations
 
 import json
+import os
 from operator import itemgetter
 
 import numpy as np
@@ -195,9 +196,21 @@ def trajectory_from_csv(text: str) -> Trajectory:
         raise FormatError(str(exc)) from exc
 
 
+def _write_text(path, text: str, kind: str) -> None:
+    """Write ``text`` over the bytes of ``path``, then cut off the rest: no
+    truncation to zero first (tens of ms on ext4 for a file holding data),
+    and an existing file keeps its inode, mode, links and symlink target."""
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                  encoding="utf-8") as fh:
+            fh.write(text)
+            fh.truncate()
+    except OSError as exc:
+        raise FormatError(f"cannot write {kind} file {path}: {exc}") from exc
+
+
 def write_network(net: LtcNetwork, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_network(net))
+    _write_text(path, serialize_network(net), "network")
 
 
 def read_network(path) -> LtcNetwork:
@@ -210,8 +223,7 @@ def read_network(path) -> LtcNetwork:
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trajectory_to_csv(traj))
+    _write_text(path, trajectory_to_csv(traj), "trajectory")
 
 
 def read_trajectory(path) -> Trajectory:

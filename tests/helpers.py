@@ -1,5 +1,7 @@
 """Shared network builders for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -62,11 +64,14 @@ def box_arrays(boxes):
 
 
 @st.composite
-def networks(draw, bound=None):
+def networks(draw, bound=None, shared=False):
     """Random valid networks for property tests.
 
     Floats include -0.0 and subnormals, and reach 1e308 unless ``bound``
-    caps their magnitude (and the reciprocal of positive values).
+    caps their magnitude (and the reciprocal of positive values).  With
+    ``shared``, each synapse takes gamma from a pool of at most two and mu
+    from a pool of at most three values per source neuron (0.0 and -0.0
+    among the candidates), so that synapses share activation channels.
     """
     kw = dict(allow_nan=False, allow_infinity=False)
     big = {} if bound is None else dict(min_value=-bound, max_value=bound)
@@ -84,6 +89,16 @@ def networks(draw, bound=None):
         chem = draw(st.lists(st.builds(
             ChemicalSynapse, st.integers(0, n_hidden - 1), st.integers(0, size - 1),
             non_negative, positive, finite, finite), max_size=10))
+        if shared:
+            mus = finite | st.sampled_from([0.0, -0.0])
+            pools = [(draw(st.lists(positive, min_size=1, max_size=2)),
+                      draw(st.lists(mus, min_size=1, max_size=3))) for _ in range(n_hidden)]
+            for n, (j, k) in enumerate(draw(st.lists(
+                    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                    min_size=len(chem), max_size=len(chem)))):
+                gammas, mu_pool = pools[chem[n].src]
+                chem[n] = replace(chem[n], gamma=gammas[j % len(gammas)],
+                                  mu=mu_pool[k % len(mu_pool)])
     if n_hidden > 1:
         pairs = st.lists(st.integers(0, n_hidden - 1), min_size=2, max_size=2,
                          unique=True)

@@ -31,6 +31,7 @@ from ltcsim import (
     feedforward_eval,
     fit_feedforward,
     integrate_field,
+    network_derivative,
     realize_as_ltc,
     simulate,
 )
@@ -355,6 +356,22 @@ class TestRealize:
             assert net == ref and net.chem == ref.chem and net.neurons == ref.neurons
             assert (net._erev.view(np.int64) == ref._erev.view(np.int64)).all()
             assert (net._vleak.view(np.int64) == ref._vleak.view(np.int64)).all()
+
+    def test_shared_channel_derivative_per_synapse(self):
+        # a realized network drives every target of feature j through the
+        # same sigmoid; the derivative still equals one expit per synapse
+        rng = np.random.default_rng(12)
+        net = realize_as_ltc(assemble_augmented_system(random_fit(rng, 2, 64), 10.0, 1e-3))
+        assert net.n_hidden == 64 and len({s.src for s in net.chem}) == 64
+        src, dst, w, gamma, mu, e_rev = (np.array(c) for c in zip(
+            *((s.src, s.dst, s.w, s.gamma, s.mu, s.e_rev) for s in net.chem)))
+        cm, g, v_leak = (np.array(c) for c in zip(
+            *((p.cm, p.g_leak, p.v_leak) for p in net.neurons)))
+        for _ in range(50):
+            u = rng.uniform(-2.0, 2.0, net.size)
+            chem = w * expit(gamma * (u[src] + mu)) * (e_rev - u[dst])
+            want = (g * (v_leak - u) + np.bincount(dst, chem, net.size)) / cm
+            assert (network_derivative(u, net).view(np.int64) == want.view(np.int64)).all()
 
     def test_unrepresentable_entry(self):
         readout = np.array([[1e308]])

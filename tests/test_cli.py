@@ -124,6 +124,23 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("ERROR parse:")
 
+    def test_unwritable_simulate_out(self, capsys, net_file, tmp_path):
+        # a missing directory, and a path that is a directory
+        for out in (tmp_path / "missing" / "o.csv", tmp_path):
+            code, _, err = run(capsys, "simulate", "--net", net_file, "--init", "0.1",
+                               "--dt", "0.1", "--t-end", "0.2", "--out", str(out))
+            assert code == 2
+            assert err.startswith(f"ERROR parse: cannot write trajectory file {out}")
+
+    @pytest.mark.parametrize("flag, kind", [("--out-net", "network"),
+                                            ("--out-traj", "trajectory"),
+                                            ("--report", "report")])
+    def test_unwritable_approximate_output(self, capsys, tmp_path, flag, kind):
+        out = tmp_path / "missing" / "out"
+        code, _, err = run(capsys, *TestApproximate.ARGS, flag, str(out))
+        assert code == 2
+        assert err.startswith(f"ERROR parse: cannot write {kind} file {out}")
+
     def test_invalid_network_document(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"neurons": [{"cm": 0, "g_leak": 1, "v_leak": 0}], '

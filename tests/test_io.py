@@ -1,6 +1,7 @@
 """Network document and trajectory CSV formats."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from ltcsim import (
     simulate,
     trajectory_from_csv,
     trajectory_to_csv,
+    write_network,
+    write_trajectory,
 )
 from helpers import networks, two_neuron_chain
 
@@ -221,3 +224,52 @@ class TestTrajectoryCsv:
     def test_empty_file(self):
         with pytest.raises(FormatError, match="empty"):
             trajectory_from_csv("")
+
+
+class TestWriteInPlace:
+    """Outputs are written over an existing file, then truncated: the bytes
+    are those of ``open(path, "w")``, the file itself stays the same file."""
+
+    TRAJ = Trajectory(np.array([0.0, 0.5]), np.array([[1.0, -2.0], [0.25, 3.0]]))
+
+    def test_shorter_text_leaves_only_new_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("9" * 5000)
+        write_trajectory(self.TRAJ, path)
+        assert path.read_bytes() == trajectory_to_csv(self.TRAJ).encode()
+
+    def test_existing_file_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text("old contents\n")
+        os.chmod(path, 0o604)
+        before = os.stat(path)
+        write_network(two_neuron_chain(), path)
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert path.read_text() == serialize_network(two_neuron_chain())
+
+    def test_symlink_target_rewritten(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("x" * 100)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_trajectory(self.TRAJ, link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == trajectory_to_csv(self.TRAJ)
+
+    def test_new_file_mode_as_open_w(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            write_trajectory(self.TRAJ, tmp_path / "new.csv")
+        finally:
+            os.umask(old)
+        assert (os.stat(tmp_path / "new.csv").st_mode
+                == os.stat(tmp_path / "reference").st_mode)
+
+    def test_unwritable_path(self, tmp_path):
+        with pytest.raises(FormatError, match="cannot write network file"):
+            write_network(two_neuron_chain(), tmp_path)
+        with pytest.raises(FormatError, match="cannot write trajectory file"):
+            write_trajectory(self.TRAJ, tmp_path / "missing" / "out.csv")

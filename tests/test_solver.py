@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ltcsim import (
     IntegrationDivergedError,
@@ -10,10 +12,18 @@ from ltcsim import (
     integrate_field,
     network_derivative,
     random_network,
+    sigmoid_activation,
     simulate,
     state_bounds,
 )
-from helpers import box_arrays, driven_pair, gap_ring, leak_neuron, two_neuron_chain
+from helpers import (
+    box_arrays,
+    driven_pair,
+    gap_ring,
+    leak_neuron,
+    networks,
+    two_neuron_chain,
+)
 
 
 def analytic_driven(times, v0, a, b, cm=1.0):
@@ -23,6 +33,28 @@ def analytic_driven(times, v0, a, b, cm=1.0):
 def one_step(method, u, net, dt):
     """A single step of ``method``: simulate over exactly one dt."""
     return simulate(net, u, SolverConfig(method, dt, dt)).states[-1]
+
+
+def semi_implicit_step(u, net, dt):
+    """One semi-implicit step neuron by neuron, one sigmoid per synapse, the
+    sums in the order of the vectorized step (synapses, a-sides, b-sides)."""
+    out = []
+    for i, p in enumerate(net.neurons):
+        num, den = p.g_leak * p.v_leak, p.g_leak
+        chem_num = chem_den = gap_num = gap_den = 0.0
+        for s in net.chem:
+            if s.dst == i:
+                wsig = s.w * sigmoid_activation(u[s.src], s.gamma, s.mu)
+                chem_num += wsig * s.e_rev
+                chem_den += wsig
+        for self_side, other in [("a", "b"), ("b", "a")]:
+            for gj in net.gaps:
+                if getattr(gj, self_side) == i:
+                    gap_num += gj.w_hat * u[getattr(gj, other)]
+                    gap_den += gj.w_hat
+        num, den = num + chem_num + gap_num, den + chem_den + gap_den
+        out.append((u[i] + dt * (num / p.cm)) / (1.0 + dt * (den / p.cm)))
+    return np.array(out, dtype=float)
 
 
 class TestSteppers:
@@ -53,6 +85,14 @@ class TestSteppers:
         k4 = f(u + dt * k3)
         rk4 = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert (one_step(Method.RK4, u, net, dt) == rk4).all()
+
+    @given(networks(bound=1e6, shared=True), st.data(), st.sampled_from([0.01, 0.1, 1.0]))
+    def test_semi_implicit_step_shared_channels(self, net, data, dt):
+        # bitwise, on networks whose synapses share (src, gamma, mu)
+        u = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=net.size,
+                                        max_size=net.size)), dtype=float)
+        got = one_step(Method.SEMI_IMPLICIT, u, net, dt)
+        assert (got.view(np.int64) == semi_implicit_step(u, net, dt).view(np.int64)).all()
 
     def test_euler_matches_rk4_to_second_order(self):
         # |euler - rk4| = O(dt^2): halving dt shrinks the gap about 4x

@@ -27,6 +27,7 @@ from ltcsim import (
     state_bounds,
     tau_bounds,
 )
+from ltcsim.model import _chem_activations
 from helpers import box_arrays, gap_ring, leak_neuron, networks
 
 
@@ -272,10 +273,10 @@ def entry_bits(entries):
 
 
 @st.composite
-def checked_trajectories(draw):
+def checked_trajectories(draw, shared=False):
     """A network and a trajectory with out-of-box, NaN and +-inf states,
     some placed just inside or outside a box edge widened by 1e-6."""
-    net = draw(networks(bound=1e100))
+    net = draw(networks(bound=1e100, shared=shared))
     rows = draw(st.integers(1, 5))
     value = (st.floats(-2.0, 2.0) | st.floats(-1e100, 1e100)
              | st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -295,6 +296,19 @@ class TestMonitorOracle:
             got = monitor_trajectory(traj, net, tolerance).entries
             want = per_row_monitor(traj, net, tolerance)
         assert entry_bits(got) == entry_bits(want)
+
+    @given(checked_trajectories(shared=True), st.sampled_from([0.0, 1e-6]))
+    def test_shared_channels_equal_per_row_oracle(self, case, tolerance):
+        net, traj = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = monitor_trajectory(traj, net, tolerance).entries
+            want = per_row_monitor(traj, net, tolerance)
+            # tau cannot leave its interval, so check the activations the
+            # monitor's blocks gather too: every row as for a single state
+            rows = _chem_activations(net, traj.states)
+            single = [_chem_activations(net, u) for u in traj.states]
+        assert entry_bits(got) == entry_bits(want)
+        assert np.array_equal(rows, np.reshape(single, rows.shape), equal_nan=True)
 
     def test_rows_span_several_blocks(self):
         # fully wired hidden layers: 33,488 synapses checks one row per block,
