@@ -13,7 +13,6 @@ value serialized with 17 significant digits so read-back is bit-exact.
 from __future__ import annotations
 
 import json
-import os
 from operator import itemgetter
 
 import numpy as np
@@ -196,15 +195,18 @@ def trajectory_from_csv(text: str) -> Trajectory:
         raise FormatError(str(exc)) from exc
 
 
-def _write_text(path, text: str, kind: str) -> None:
-    """Write ``text`` over the bytes of ``path``, then cut off the rest: no
-    truncation to zero first (tens of ms on ext4 for a file holding data),
-    and an existing file keeps its inode, mode, links and symlink target."""
+def _read_text(path, kind: str) -> str:
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
-                  encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def _write_text(path, text: str, kind: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            fh.truncate()
     except OSError as exc:
         raise FormatError(f"cannot write {kind} file {path}: {exc}") from exc
 
@@ -214,12 +216,7 @@ def write_network(net: LtcNetwork, path) -> None:
 
 
 def read_network(path) -> LtcNetwork:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read network file {path}: {exc}") from exc
-    return parse_network(text)
+    return parse_network(_read_text(path, "network"))
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
@@ -227,9 +224,4 @@ def write_trajectory(traj: Trajectory, path) -> None:
 
 
 def read_trajectory(path) -> Trajectory:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read trajectory file {path}: {exc}") from exc
-    return trajectory_from_csv(text)
+    return trajectory_from_csv(_read_text(path, "trajectory"))

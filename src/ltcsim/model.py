@@ -224,16 +224,14 @@ class LtcNetwork:
         # Attributes are set with object.__setattr__ (never through __dict__)
         # and in the same order for every network, which keeps CPython's
         # attribute reads on their fast path (measurably so in
-        # network_derivative); values derived on first use go into _cache,
-        # but the activation channels of that hot path into _chan.
+        # network_derivative); values derived on first use go into _cache.
         # Gap endpoints are concatenated a-side first, then b-side, so that a
         # single bincount accumulates in the same order as the two-pass
         # per-neuron loop in neuron_derivative.
         for name, value in (*zip(_ARRAYS, arrays), ("n_output", n_output), ("size", size),
                             ("_gself", np.concatenate([ga, gb])),
                             ("_gother", np.concatenate([gb, ga])),
-                            ("_gw2", np.concatenate([gw, gw])), ("_chan", None),
-                            ("_cache", {})):
+                            ("_gw2", np.concatenate([gw, gw])), ("_cache", {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -279,21 +277,18 @@ class LtcNetwork:
         return self._cache["tau"]
 
     def _channel_table(self) -> tuple:
-        """Activation channels, the distinct (src, gamma, mu) compared bit for
-        bit: their columns and each synapse's channel, or the synapses' own
-        columns and ``None`` when no two synapses share one; kept as _chan."""
-        if self._chan is None:
+        """Activation channels, the distinct (src, gamma, mu) compared bit for bit:
+        their columns and each synapse's channel, or None when none is shared."""
+        if "chan" not in self._cache:
             cols = (self._src, self._gamma, self._mu)
-            keys = (self._mu.view(np.int64), self._gamma.view(np.int64), self._src)
+            keys = [c.view(np.int64) for c in cols]
             order = np.lexsort(keys)
-            new = np.ones(order.shape, dtype=bool)
-            new[1:] = np.any([k[order][1:] != k[order][:-1] for k in keys], axis=0)
+            new = np.r_[True, np.any([k[order][1:] != k[order][:-1] for k in keys], axis=0)]
             of = np.empty_like(order)
             of[order] = np.cumsum(new) - 1
-            first = order[new]
-            object.__setattr__(self, "_chan", (*cols, None) if first.size == order.size
-                               else (*(c[first] for c in cols), of))
-        return self._chan
+            self._cache["chan"] = ((*cols, None) if new.all()
+                                   else (*(c[order[new]] for c in cols), of))
+        return self._cache["chan"]
 
     @property
     def n_hidden(self) -> int:
@@ -361,20 +356,14 @@ def neuron_derivative(i: int, state, net: LtcNetwork) -> float:
 
 
 def _chem_activations(net: LtcNetwork, u: np.ndarray) -> np.ndarray:
-    """Per-synapse sigmoid activations at state ``u``, or per row of a 2-D ``u``.
-
-    One ``expit`` per activation channel, gathered to the synapses where
-    channels are shared, so each value is the synapse's own
-    expit(gamma * (u[src] + mu)) bit for bit.  For rows, ``take`` gathers
-    several times faster than ``u[:, src]``; on one state the plain gather
-    is the fastest (the derivative's hot path).
-    """
-    src, gamma, mu, of = net._chan or net._channel_table()
-    if u.ndim == 1:
-        sig = expit(gamma * (u[src] + mu))
-        return sig if of is None else sig[of]
-    sig = expit(gamma * (u.take(src, axis=1) + mu))
-    return sig if of is None else sig.take(of, axis=1)
+    """Per-synapse sigmoid activations at state ``u``, or per row of a 2-D ``u``:
+    one ``expit`` per activation channel, gathered to its synapses.  For rows,
+    ``take`` gathers several times faster than ``u[:, src]``; on one state the
+    plain gather is the fastest (the derivative's hot path)."""
+    src, gamma, mu, of = net._cache.get("chan") or net._channel_table()
+    one = u.ndim == 1
+    sig = expit(gamma * ((u[src] if one else u.take(src, axis=1)) + mu))
+    return sig if of is None else (sig[of] if one else sig.take(of, axis=1))
 
 
 def _inflow(net: LtcNetwork, base, chem: np.ndarray, gap) -> np.ndarray:

@@ -224,12 +224,32 @@ def random_network(
     size = int(rng.integers(2, 9))
     n_output = int(rng.integers(1, size))
     n_hidden = size - n_output
-    neurons = [NeuronParams(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
-                            rng.uniform(-0.5, 0.5)) for _ in range(size)]
-    chem = [ChemicalSynapse(src, dst, rng.uniform(0.0, 2.0), rng.uniform(0.5, 2.0),
-                            rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-            for src in range(n_hidden) for dst in range(size) if rng.uniform() < p_chem]
-    gaps = [] if chemical_only else [
-        GapJunction(a, b, rng.uniform(0.0, 2.0))
-        for a in range(n_hidden) for b in range(a + 1, n_hidden) if rng.uniform() < p_gap]
-    return LtcNetwork(neurons, chem, gaps, n_output)
+    neurons = tuple(
+        NeuronParams(
+            cm=rng.uniform(0.5, 2.0),
+            g_leak=rng.uniform(0.5, 2.0),
+            v_leak=rng.uniform(-0.5, 0.5),
+        )
+        for _ in range(size)
+    )
+    chem = []
+    for src in range(n_hidden):
+        for dst in range(size):
+            if rng.uniform() < p_chem:
+                chem.append(
+                    ChemicalSynapse(
+                        src=src,
+                        dst=dst,
+                        w=rng.uniform(0.0, 2.0),
+                        gamma=rng.uniform(0.5, 2.0),
+                        mu=rng.uniform(-1.0, 1.0),
+                        e_rev=rng.uniform(-1.0, 1.0),
+                    )
+                )
+    gaps = []
+    if not chemical_only:
+        for a in range(n_hidden):
+            for b in range(a + 1, n_hidden):
+                if rng.uniform() < p_gap:
+                    gaps.append(GapJunction(a=a, b=b, w_hat=rng.uniform(0.0, 2.0)))
+    return LtcNetwork(neurons, tuple(chem), tuple(gaps), n_output)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -131,6 +132,21 @@ class TestErrorPaths:
                                "--dt", "0.1", "--t-end", "0.2", "--out", str(out))
             assert code == 2
             assert err.startswith(f"ERROR parse: cannot write trajectory file {out}")
+
+    def test_simulate_out_to_devnull_and_fifo(self, capsys, net_file, tmp_path):
+        args = ("simulate", "--net", net_file, "--init", "0.1", "--dt", "0.1",
+                "--t-end", "0.2", "--out")
+        assert run(capsys, *args, os.devnull)[0] == 0
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()))
+        reader.start()
+        code = run(capsys, *args, str(fifo))[0]
+        reader.join(timeout=10)
+        assert code == 0
+        assert run(capsys, *args, str(tmp_path / "o.csv"))[0] == 0
+        assert received == [(tmp_path / "o.csv").read_text()]
 
     @pytest.mark.parametrize("flag, kind", [("--out-net", "network"),
                                             ("--out-traj", "trajectory"),

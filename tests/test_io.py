@@ -226,9 +226,9 @@ class TestTrajectoryCsv:
             trajectory_from_csv("")
 
 
-class TestWriteInPlace:
-    """Outputs are written over an existing file, then truncated: the bytes
-    are those of ``open(path, "w")``, the file itself stays the same file."""
+class TestWriteText:
+    """Outputs are written with ``open(path, "w")``: an existing file is
+    truncated and rewritten, so it stays the same file."""
 
     TRAJ = Trajectory(np.array([0.0, 0.5]), np.array([[1.0, -2.0], [0.25, 3.0]]))
 
