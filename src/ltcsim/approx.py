@@ -87,11 +87,11 @@ class VectorField:
     def __call__(self, x):
         return np.asarray(self.fn(x), dtype=float)
 
-    def contains(self, x, slack: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(
-            (x >= self.domain[:, 0] - slack).all()
-            and (x <= self.domain[:, 1] + slack).all()
+            (x >= self.domain[:, 0] - 1e-12).all()
+            and (x <= self.domain[:, 1] + 1e-12).all()
         )
 
 
@@ -153,6 +153,13 @@ def _validation_grid(fld: VectorField) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _require_positive(**values) -> None:
+    """Raise ValueError naming the first value that is not finite and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def _halton(n: int, d: int) -> np.ndarray:
     """First n points of the unscrambled Halton sequence in d dimensions.
 
@@ -203,8 +210,9 @@ def fit_feedforward(
         raise ValueError(f"n_features must be >= 1, got {n_features}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
+    _require_positive(gamma_scale=gamma_scale)
     lo = fld.domain[:, 0]
     hi = fld.domain[:, 1]
     radius = float(np.linalg.norm(hi - lo)) / 2.0
@@ -239,16 +247,11 @@ def fit_feedforward(
     return FeedForwardApprox(readout, projection, bias, sup_error)
 
 
-def estimate_lipschitz(
-    fld: VectorField,
-    grid_points_per_axis: int | None = None,
-    n_pairs: int = 100_000,
-    seed: int = 0,
-) -> float:
+def estimate_lipschitz(fld: VectorField) -> float:
     """Max of |F(x)-F(y)| / |x-y| over sampled pairs; a lower bound on L_F.
 
-    Grid mode (all pairs of a regular grid) for dim <= 3; random pairs,
-    half of them nearby, for higher dimensions.
+    Grid mode (all pairs of the validation grid) for dim <= 3; 100,000
+    random pairs, half of them nearby, for higher dimensions.
     """
     lo = fld.domain[:, 0]
     hi = fld.domain[:, 1]
@@ -256,24 +259,20 @@ def estimate_lipschitz(
     if (widths == 0).any():
         raise ValueError("degenerate domain: zero-width axis")
     if fld.dim <= 3:
-        if grid_points_per_axis is None:
-            grid_points_per_axis = 33 if fld.dim <= 2 else 10
-        axes = [np.linspace(a, b, grid_points_per_axis) for a, b in fld.domain]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=1)
+        points = _validation_grid(fld)
         values = _field_values(fld, points)
         dx = _pairwise_distances(points)
         dv = _pairwise_distances(values)
         mask = dx > 0
         return float(np.max(dv[mask] / dx[mask]))
-    n_pairs = max(int(n_pairs), 100_000)
-    rng = np.random.default_rng(seed)
-    half = n_pairs // 2
-    xa = rng.uniform(lo, hi, size=(n_pairs, fld.dim))
+    pairs = 100_000
+    rng = np.random.default_rng(0)
+    half = pairs // 2
+    xa = rng.uniform(lo, hi, size=(pairs, fld.dim))
     xb = np.empty_like(xa)
     xb[:half] = rng.uniform(lo, hi, size=(half, fld.dim))
     step = 1e-3 * float(np.linalg.norm(widths))
-    bump = rng.normal(size=(n_pairs - half, fld.dim))
+    bump = rng.normal(size=(pairs - half, fld.dim))
     bump *= step / np.linalg.norm(bump, axis=1, keepdims=True)
     xb[half:] = np.clip(xa[half:] + bump, lo, hi)
     va = _field_values(fld, xa)
@@ -298,29 +297,23 @@ class AugmentedSystem:
     N: int
     readout_block: np.ndarray  # (n, N)
     hidden_block: np.ndarray   # (N, N)
-    bias_aug: np.ndarray    # (n+N,) = [0; mu]
+    bias: np.ndarray         # (N,) = mu
     resting_aug: np.ndarray  # (n+N,) = [A1; A2]
     tau_base: float
     w_l: float
 
     def __post_init__(self):
-        dim = self.n + self.N
         self.readout_block = np.asarray(self.readout_block, dtype=float)
         self.hidden_block = np.asarray(self.hidden_block, dtype=float)
-        self.bias_aug = np.asarray(self.bias_aug, dtype=float)
+        self.bias = np.asarray(self.bias, dtype=float)
         self.resting_aug = np.asarray(self.resting_aug, dtype=float)
         shapes = (self.readout_block.shape, self.hidden_block.shape)
         if shapes != ((self.n, self.N), (self.N, self.N)):
             raise ValueError(f"readout_block and hidden_block shapes {shapes}, "
                              f"expected {((self.n, self.N), (self.N, self.N))}")
-        if self.bias_aug.shape != (dim,) or self.resting_aug.shape != (dim,):
-            raise ValueError("bias_aug and resting_aug must have length n + N")
-        if self.bias_aug[: self.n].any():
-            raise ValueError("first n entries of bias_aug must be zero")
-        if self.tau_base <= 0:
-            raise ValueError(f"tau_base must be > 0, got {self.tau_base}")
-        if self.w_l <= 0:
-            raise ValueError(f"w_l must be > 0, got {self.w_l}")
+        if self.bias.shape != (self.N,) or self.resting_aug.shape != (self.n + self.N,):
+            raise ValueError("bias must have length N and resting_aug length n + N")
+        _require_positive(tau_base=self.tau_base, w_l=self.w_l)
         # tau_base * w_l <= 0.01 is enforced by assemble_augmented_system;
         # the constructor stays permissive so check_tau_conditions can
         # describe failing parameter triples.
@@ -334,10 +327,7 @@ def assemble_augmented_system(
     resting_a2: np.ndarray | None = None,
 ) -> AugmentedSystem:
     """Build the augmented system for a fitted feed-forward model."""
-    if tau_base <= 0:
-        raise ValueError(f"tau_base must be > 0, got {tau_base}")
-    if w_l <= 0:
-        raise ValueError(f"w_l must be > 0, got {w_l}")
+    _require_positive(tau_base=tau_base, w_l=w_l)
     if tau_base * w_l > 0.01:
         raise ConditionsViolatedError(
             f"tau_base * w_l = {tau_base * w_l:g} exceeds 0.01; the coupling "
@@ -351,9 +341,8 @@ def assemble_augmented_system(
     a2 = np.zeros(nf) if resting_a2 is None else np.asarray(resting_a2, dtype=float)
     if a1.shape != (n,) or a2.shape != (nf,):
         raise ValueError("resting vectors must have shapes (n,) and (N,)")
-    bias_aug = np.concatenate([np.zeros(n), fit.bias])
     resting_aug = np.concatenate([a1, a2])
-    return AugmentedSystem(n, nf, b_rev, e_block, bias_aug, resting_aug, tau_base, w_l)
+    return AugmentedSystem(n, nf, b_rev, e_block, fit.bias.copy(), resting_aug, tau_base, w_l)
 
 
 def augmented_rhs(system: AugmentedSystem):
@@ -366,7 +355,7 @@ def augmented_rhs(system: AugmentedSystem):
     mask_y = (e_block != 0).astype(float)
     per_syn = system.w_l / nf if nf else 0.0
     inv_tau = 1.0 / system.tau_base
-    mu = system.bias_aug[n:]
+    mu = system.bias
     a1 = system.resting_aug[:n]
     a2 = system.resting_aug[n:]
 
@@ -403,19 +392,24 @@ class TauConditions:
     tau_sys_max = tau corresponds to activations at 0.
     """
 
-    ok_a: bool
     margin_a: float
-    ok_b: bool
     margin_b_bias: float
     margin_b_rate: float
-    ok_tau_wl: bool
     margin_tau_wl: float
     tau_sys_min: float
     tau_sys_max: float
 
     @property
-    def all_ok(self) -> bool:
-        return self.ok_a and self.ok_b and self.ok_tau_wl
+    def ok_a(self) -> bool:
+        return self.margin_a > 0
+
+    @property
+    def ok_b(self) -> bool:
+        return self.margin_b_bias > 0 and self.margin_b_rate > 0
+
+    @property
+    def ok_tau_wl(self) -> bool:
+        return self.margin_tau_wl >= 0
 
 
 def _error_budget(eta: float, lipschitz: float, horizon: float) -> float:
@@ -459,19 +453,16 @@ def check_tau_conditions(
     lhs_a = max_norm / tau_sys_min
     margin_a = epsilon_l / 2.0 - lhs_a
 
-    mu_norm = float(np.linalg.norm(system.bias_aug[system.n:]))
+    mu_norm = float(np.linalg.norm(system.bias))
     margin_b_bias = _error_budget(eta, l_gtilde, horizon) - mu_norm / tau_sys_min
     margin_b_rate = l_gtilde / 2.0 - 1.0 / tau_sys_min
 
     tau_wl = system.tau_base * system.w_l
     margin_tau_wl = 0.01 - tau_wl
     return TauConditions(
-        ok_a=margin_a > 0,
         margin_a=margin_a,
-        ok_b=margin_b_bias > 0 and margin_b_rate > 0,
         margin_b_bias=margin_b_bias,
         margin_b_rate=margin_b_rate,
-        ok_tau_wl=margin_tau_wl >= 0,
         margin_tau_wl=margin_tau_wl,
         tau_sys_min=tau_sys_min,
         tau_sys_max=tau_sys_max,
@@ -491,7 +482,7 @@ def realize_as_ltc(system: AugmentedSystem) -> LtcNetwork:
     """
     n, nf = system.n, system.N
     tau = system.tau_base
-    mu = system.bias_aug[n:]
+    mu = system.bias
     # Row j of the stacked [E; B_rev]^T lists the targets of hidden source
     # j: hidden neurons 0..N-1, then outputs N..N+n-1.  Row-major nonzero
     # therefore yields the synapses source by source, hidden targets first.
@@ -542,9 +533,8 @@ class PipelineConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         positive = ("tau_base", "w_l", "gamma_scale", "ltc_dt", "ref_dt")
-        for name in positive + (() if self.eta is None else ("eta",)):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        positive += () if self.eta is None else ("eta",)
+        _require_positive(**{name: getattr(self, name) for name in positive})
         if not (math.isfinite(self.ridge) and self.ridge >= 0):
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
 

@@ -18,6 +18,7 @@ from .approx import PipelineConfig, approximate_trajectory
 from .errors import ExprError, FormatError, LtcError
 from .expr import parse_field
 from .io import (
+    _check_writable,
     _csv_text,
     _fmt,
     _write_text,
@@ -246,6 +247,9 @@ def cli_dispatch(argv) -> int:
         if getattr(args, "handler", None) is None:
             raise _UsageError("missing subcommand "
                               "(simulate | bounds | verify | approximate)")
+        for dest, kind in (("out", "trajectory"), ("out_net", "network"),
+                           ("out_traj", "trajectory"), ("report", "report")):
+            _check_writable(getattr(args, dest, None), kind)
         return args.handler(args)
     except _UsageError as exc:
         print(f"ERROR usage: {exc}", file=sys.stderr)

@@ -53,8 +53,6 @@ class Expr:
 class Num(Expr):
     value: float
 
-    precedence = _PREC_ATOM
-
     def __str__(self):
         return repr(self.value)
 
@@ -62,8 +60,6 @@ class Num(Expr):
 @dataclass(frozen=True)
 class Var(Expr):
     index: int  # 1-based, as written
-
-    precedence = _PREC_ATOM
 
     def __str__(self):
         return f"x{self.index}"
@@ -110,8 +106,6 @@ class Pow(Expr):
 class Call(Expr):
     func: str
     arg: Expr
-
-    precedence = _PREC_ATOM
 
     def __str__(self):
         return f"{self.func}({self.arg})"
@@ -174,9 +168,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.max_index = 0  # largest variable index seen, 0 if none
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -243,6 +237,7 @@ class _Parser:
                 index = int(name[1:])
                 if index < 1:
                     self.fail("variable indices start at x1", tok)
+                self.max_index = max(self.max_index, index)
                 return Var(index)
             if self.peek().kind != "LPAREN":
                 if name in FUNCTIONS:
@@ -263,22 +258,6 @@ class _Parser:
 def parse_expression(text: str) -> Expr:
     """Parse one expression string into a tree (raises ExprError with column)."""
     return _Parser(text).parse()
-
-
-def max_var_index(node: Expr) -> int:
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, Num):
-        return 0
-    if isinstance(node, Neg):
-        return max_var_index(node.child)
-    if isinstance(node, BinOp):
-        return max(max_var_index(node.left), max_var_index(node.right))
-    if isinstance(node, Pow):
-        return max_var_index(node.base)
-    if isinstance(node, Call):
-        return max_var_index(node.arg)
-    raise TypeError(f"unknown node {node!r}")
 
 
 def _safe_exp(v: float) -> float:
@@ -344,10 +323,14 @@ def parse_field(exprs, domain):
     """
     from .approx import VectorField  # local import to keep modules acyclic
 
-    trees = [parse_expression(s) for s in exprs]
+    # Parse one expression at a time, so the first bad one is reported.
+    trees, tops = [], []
+    for text in exprs:
+        parser = _Parser(text)
+        trees.append(parser.parse())
+        tops.append(parser.max_index)
     dim = len(trees)
-    for k, tree in enumerate(trees):
-        top = max_var_index(tree)
+    for k, top in enumerate(tops):
         if top > dim:
             raise ExprError(
                 f"expression {k} references x{top} but the field has "

@@ -13,6 +13,7 @@ value serialized with 17 significant digits so read-back is bit-exact.
 from __future__ import annotations
 
 import json
+import os
 from operator import itemgetter
 
 import numpy as np
@@ -209,6 +210,13 @@ def _write_text(path, text: str, kind: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise FormatError(f"cannot write {kind} file {path}: {exc}") from exc
+
+
+def _check_writable(path, kind: str) -> None:
+    """Raise ``_write_text``'s error if ``path`` is a directory or its
+    directory is missing; then opening fails before any file is made."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        _write_text(path, "", kind)
 
 
 def write_network(net: LtcNetwork, path) -> None:

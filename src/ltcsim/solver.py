@@ -108,40 +108,27 @@ def _semi_implicit_update(net: LtcNetwork, u: np.ndarray, dt: float) -> np.ndarr
     return (u + dt * (a_num / net._cm)) / (1.0 + dt * (b_den / net._cm))
 
 
-def _plan_steps(dt: float, t_end: float) -> tuple[int, float]:
-    """Number of full dt steps plus the length of the final partial step."""
-    n_full = int(np.floor(t_end / dt + 1e-9))
-    remainder = t_end - n_full * dt
-    if remainder <= dt * 1e-9:
-        remainder = 0.0
-    return n_full, remainder
-
-
-def _run(update, u0: np.ndarray, config: SolverConfig) -> Trajectory:
+def _run(update, u: np.ndarray, config: SolverConfig) -> Trajectory:
     """Shared stepping loop: record stride, exact final point, divergence check."""
-    n_full, remainder = _plan_steps(config.dt, config.t_end)
-    n_steps = n_full + (1 if remainder > 0.0 else 0)
+    n_full = int(np.floor(config.t_end / config.dt + 1e-9))
+    remainder = config.t_end - n_full * config.dt
+    n_steps = n_full + int(remainder > config.dt * 1e-9)
     times = [0.0]
-    states = [u0.copy()]
-    u = u0
-    for k in range(1, n_steps + 1):
-        # overflow here means divergence, which is detected and raised below
-        with np.errstate(over="ignore", invalid="ignore"):
-            if k <= n_full:
-                u = update(u, config.dt)
-                t = k * config.dt if k < n_steps else config.t_end
-            else:
-                u = update(u, remainder)
-                t = config.t_end
-        if u.size and not np.isfinite(u).all():
-            partial = Trajectory(np.array(times), np.array(states))
-            raise IntegrationDivergedError(
-                f"integration diverged at t={t}: non-finite state component",
-                partial,
-            )
-        if k % config.record_every == 0 or k == n_steps:
-            times.append(t)
-            states.append(u.copy())
+    states = [u]  # updates return new arrays; np.array copies the rows below
+    # overflow here means divergence, which is detected and raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            u = update(u, config.dt if k <= n_full else remainder)
+            t = k * config.dt if k < n_steps else config.t_end
+            if u.size and not np.isfinite(u).all():
+                partial = Trajectory(np.array(times), np.array(states))
+                raise IntegrationDivergedError(
+                    f"integration diverged at t={t}: non-finite state component",
+                    partial,
+                )
+            if k % config.record_every == 0 or k == n_steps:
+                times.append(t)
+                states.append(u)
     return Trajectory(np.array(times), np.array(states))
 
 

@@ -111,27 +111,28 @@ def tau_bounds(i: int, net: LtcNetwork) -> TauInterval:
     return TauInterval(i, float(tau_min[i]), float(tau_max[i]))
 
 
-def state_bounds(net: LtcNetwork) -> list[StateBox]:
-    """Per-neuron reachable box; defined for chemical-only networks.
-
-    Each box is min/max of v_leak and the incoming reversal potentials.
-    numpy's minimum/maximum return the second operand on ties, so the
-    synapses run in reverse and v_leak comes last: of equal values (0.0
-    and -0.0) the leak, then the earliest synapse wins, as with Python's
-    ``min(v_leak, min(e_revs))``.
-    """
-    if net.n_gaps:
-        raise UnsupportedTopologyError(
-            "state bounds are defined for chemical-synapse-only networks; "
-            f"this network has {net.n_gaps} gap junction(s)"
-        )
+def _box_edges(net: LtcNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """The ``lo`` and ``hi`` arrays of ``state_bounds``.  numpy's minimum and
+    maximum return the second operand on ties, so the synapses run in reverse
+    and v_leak comes last: of equal values (0.0 and -0.0) the leak, then the
+    earliest synapse wins, as with Python's ``min(v_leak, min(e_revs))``."""
     dst, erev = net._dst[::-1], net._erev[::-1]
     lo = np.full(net.size, np.inf)
     hi = np.full(net.size, -np.inf)
     np.minimum.at(lo, dst, erev)
     np.maximum.at(hi, dst, erev)
-    lo = np.minimum(lo, net._vleak).tolist()
-    hi = np.maximum(hi, net._vleak).tolist()
+    return np.minimum(lo, net._vleak), np.maximum(hi, net._vleak)
+
+
+def state_bounds(net: LtcNetwork) -> list[StateBox]:
+    """Per-neuron reachable box, min/max of v_leak and the incoming reversal
+    potentials; defined for chemical-only networks."""
+    if net.n_gaps:
+        raise UnsupportedTopologyError(
+            "state bounds are defined for chemical-synapse-only networks; "
+            f"this network has {net.n_gaps} gap junction(s)"
+        )
+    lo, hi = (edge.tolist() for edge in _box_edges(net))
     return [StateBox(i, lo[i], hi[i]) for i in range(net.size)]
 
 
@@ -157,9 +158,8 @@ def monitor_trajectory(
     kinds = [ViolationKind.TAU_LOW, ViolationKind.TAU_HIGH]
     bounds = [tau_min, tau_max]
     if not net.n_gaps:
-        boxes = state_bounds(net)
         kinds += [ViolationKind.STATE_LOW, ViolationKind.STATE_HIGH]
-        bounds += [np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])]
+        bounds += _box_edges(net)
         lo, hi = bounds[2] - tolerance, bounds[3] + tolerance
     bounds = np.array(bounds)  # (kind, neuron)
     report = ViolationReport(tolerance=tolerance)
@@ -174,7 +174,8 @@ def monitor_trajectory(
     block = max(1, 2**16 // max(net.n_chem, 1))
     for start in range(0, traj.n_points, block):
         u = traj.states[start:start + block]
-        with np.errstate(divide="ignore"):
+        # gamma * (v + mu) may overflow to +-inf, whose sigmoid is exactly 1 or 0
+        with np.errstate(divide="ignore", over="ignore"):
             tau = net._cm / _conductance_loads(net, _chem_activations(net, u))
         flags, values = [tau < tau_min, tau > tau_max], [tau, tau]
         if not net.n_gaps:
@@ -209,12 +210,7 @@ def conservation_check(traj: Trajectory, net: LtcNetwork) -> float:
     return float(np.max(np.abs(totals - totals[0])))
 
 
-def random_network(
-    rng: np.random.Generator,
-    chemical_only: bool = False,
-    p_chem: float = 0.5,
-    p_gap: float = 0.3,
-) -> LtcNetwork:
+def random_network(rng: np.random.Generator, chemical_only: bool = False) -> LtcNetwork:
     """Random small network for property suites.
 
     Sizes 2-8 neurons; weights U[0,2], gamma U[0.5,2], mu U[-1,1],
@@ -235,7 +231,7 @@ def random_network(
     chem = []
     for src in range(n_hidden):
         for dst in range(size):
-            if rng.uniform() < p_chem:
+            if rng.uniform() < 0.5:
                 chem.append(
                     ChemicalSynapse(
                         src=src,
@@ -250,6 +246,6 @@ def random_network(
     if not chemical_only:
         for a in range(n_hidden):
             for b in range(a + 1, n_hidden):
-                if rng.uniform() < p_gap:
+                if rng.uniform() < 0.3:
                     gaps.append(GapJunction(a=a, b=b, w_hat=rng.uniform(0.0, 2.0)))
     return LtcNetwork(neurons, tuple(chem), tuple(gaps), n_output)

@@ -21,6 +21,7 @@ from ltcsim import (
     RankDeficiencyError,
     RealizationError,
     SolverConfig,
+    TauConditions,
     VectorField,
     approximate_trajectory,
     assemble_augmented_system,
@@ -170,10 +171,30 @@ class TestAssemble:
         # the augmented coupling are not stored at all
         assert system.readout_block.shape == (2, 8)
         assert system.hidden_block.shape == (8, 8)
-        assert (system.bias_aug[:2] == 0.0).all()
+        assert (system.bias == fit.bias).all() and system.bias.shape == (8,)
         with pytest.raises(ValueError, match="readout_block and hidden_block"):
             AugmentedSystem(2, 8, np.zeros((2, 10)), system.hidden_block,
-                            system.bias_aug, system.resting_aug, 10.0, 1e-3)
+                            system.bias, system.resting_aug, 10.0, 1e-3)
+        with pytest.raises(ValueError, match="bias must have length N"):
+            AugmentedSystem(2, 8, system.readout_block, system.hidden_block,
+                            np.zeros(10), system.resting_aug, 10.0, 1e-3)
+
+    def test_rejects_non_finite_parameters(self):
+        fit = random_fit(np.random.default_rng(11), 2, 4)
+        system = assemble_augmented_system(fit, 10.0, 1e-3)
+        blocks = (system.readout_block, system.hidden_block, system.bias,
+                  system.resting_aug)
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            for name, params in (("tau_base", (bad, 1e-3)), ("w_l", (10.0, bad))):
+                with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                    assemble_augmented_system(fit, *params)
+                with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                    AugmentedSystem(2, 4, *blocks, *params)
+            with pytest.raises(ValueError, match="gamma_scale must be finite and > 0"):
+                fit_feedforward(rotation_field(), 4, gamma_scale=bad)
+            if bad != 0.0:  # ridge = 0 is allowed: no regularization
+                with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+                    fit_feedforward(rotation_field(), 4, ridge=bad)
 
     def test_hidden_block_is_triple_product(self):
         rng = np.random.default_rng(2)
@@ -230,7 +251,7 @@ class TestTauConditions:
     def test_small_tau_fails_condition_a(self):
         system = AugmentedSystem(
             n=1, N=1, readout_block=np.zeros((1, 1)), hidden_block=np.zeros((1, 1)),
-            bias_aug=np.zeros(2), resting_aug=np.zeros(2), tau_base=1.0, w_l=1.0,
+            bias=np.zeros(1), resting_aug=np.zeros(2), tau_base=1.0, w_l=1.0,
         )
         cond = check_tau_conditions(system, [[-1.0, 1.0]], 0.1, 0.0, 1.0, 1.0)
         assert not cond.ok_a
@@ -238,12 +259,27 @@ class TestTauConditions:
         assert cond.margin_a == pytest.approx(0.05 - 2.0)
         assert not cond.ok_tau_wl
 
+    def test_flags_follow_margins_at_zero(self):
+        # tau * w_l == 0.01 exactly, as with the CLI defaults: a zero margin passes
+        system = assemble_augmented_system(random_fit(np.random.default_rng(4), 2, 4),
+                                           100.0, 1e-4)
+        cond = check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1, 1.0, 1.0)
+        assert cond.margin_tau_wl == 0.0 and cond.ok_tau_wl
+        # conditions (a) and (b) need strictly positive margins
+        cond = TauConditions(margin_a=0.0, margin_b_bias=0.0, margin_b_rate=1.0,
+                             margin_tau_wl=-1e-300, tau_sys_min=1.0, tau_sys_max=1.0)
+        assert not cond.ok_a and not cond.ok_b and not cond.ok_tau_wl
+        cond.margin_a = cond.margin_b_bias = 5e-324
+        assert cond.ok_a and cond.ok_b
+        cond.margin_b_rate = 0.0
+        assert not cond.ok_b
+
     def test_budget_overflow_fails_condition_b(self):
         # exp(l_gtilde * horizon) overflows: the budget is 0.0, not an error
         rng = np.random.default_rng(8)
         system = assemble_augmented_system(random_fit(rng, 2, 4), 100.0, 1e-4)
         cond = check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1, 5e3, 2.0)
-        mu_norm = float(np.linalg.norm(system.bias_aug[2:]))
+        mu_norm = float(np.linalg.norm(system.bias))
         assert not cond.ok_b
         assert cond.margin_b_bias == -mu_norm / cond.tau_sys_min
         # below the overflow the formula is unchanged bit for bit
@@ -326,7 +362,7 @@ class TestRealize:
     def _loop_realization(system):
         """Per-entry reference wiring: source j outer, hidden targets, then outputs."""
         n, nf, tau = system.n, system.N, system.tau_base
-        mu, a1, a2 = system.bias_aug[n:], system.resting_aug[:n], system.resting_aug[n:]
+        mu, a1, a2 = system.bias, system.resting_aug[:n], system.resting_aug[n:]
         neurons = [NeuronParams(1.0, 1.0 / tau, tau * a2[k] + mu[k]) for k in range(nf)]
         neurons += [NeuronParams(1.0, 1.0 / tau, tau * a1[i]) for i in range(n)]
         w_syn = system.w_l / nf if nf else 0.0
@@ -348,7 +384,7 @@ class TestRealize:
             n, nf = int(rng.integers(1, 4)), int(rng.integers(0, 9))
             block = rng.normal(size=(n + nf, nf)) * 10.0 ** rng.integers(-3, 4)
             block[rng.uniform(size=block.shape) < 0.3] = 0.0
-            bias = np.concatenate([np.zeros(n), rng.normal(size=nf)])
+            bias = rng.normal(size=nf)
             system = AugmentedSystem(n, nf, block[:n], block[n:], bias,
                                      rng.normal(size=n + nf),
                                      float(rng.uniform(1, 100)), 1e-4)
@@ -376,7 +412,7 @@ class TestRealize:
     def test_unrepresentable_entry(self):
         readout = np.array([[1e308]])
         hidden = np.array([[1e308]])  # N * entry / w_l overflows
-        system = AugmentedSystem(1, 1, readout, hidden, np.zeros(2), np.zeros(2),
+        system = AugmentedSystem(1, 1, readout, hidden, np.zeros(1), np.zeros(2),
                                  1.0, 1e-3)
         with pytest.raises(RealizationError, match=r"\(0, 0\)"):
             realize_as_ltc(system)

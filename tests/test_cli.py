@@ -153,9 +153,13 @@ class TestErrorPaths:
                                             ("--report", "report")])
     def test_unwritable_approximate_output(self, capsys, tmp_path, flag, kind):
         out = tmp_path / "missing" / "out"
-        code, _, err = run(capsys, *TestApproximate.ARGS, flag, str(out))
+        # the other outputs could be written, but the run stops before any work
+        others = [arg for other in ("--out-net", "--out-traj", "--report") if other != flag
+                  for arg in (other, str(tmp_path / other.lstrip("-")))]
+        code, _, err = run(capsys, *TestApproximate.ARGS, *others, flag, str(out))
         assert code == 2
         assert err.startswith(f"ERROR parse: cannot write {kind} file {out}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_network_document(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -82,6 +82,17 @@ class TestErrors:
         with pytest.raises(ExprError, match="x3"):
             parse_field(["x3"], [[-1.0, 1.0]])
 
+    def test_field_reports_first_bad_expression(self):
+        # expressions are tokenized and parsed in turn: expression 0's syntax
+        # error wins over expression 1's bad character
+        with pytest.raises(ExprError, match="unexpected end of input"):
+            parse_field(["x1 +", "x1 $"], [[-1.0, 1.0]] * 2)
+        # and every syntax error wins over an out-of-range variable
+        with pytest.raises(ExprError, match="unexpected end of input"):
+            parse_field(["x5", "x1 +"], [[-1.0, 1.0]] * 2)
+        with pytest.raises(ExprError, match="expression 1 references x4"):
+            parse_field(["x2", "x4 * x1 + x3"], [[-1.0, 1.0]] * 2)
+
     def test_variable_zero_rejected(self):
         with pytest.raises(ExprError):
             parse_expression("x0")

@@ -133,6 +133,22 @@ class TestSimulate:
         traj = simulate(net, u0, SolverConfig(Method.RK4, 1e-2, 0.5, 3))
         assert (traj.states[0] == u0).all()
 
+    def test_recorded_rows_own_their_memory(self):
+        net = two_neuron_chain()
+        for method in Method:
+            u0 = np.array([0.25, -0.5])
+            traj = simulate(net, u0, SolverConfig(method, 0.1, 0.45, 2))
+            u0[:] = 7.0  # the caller's array changes after the run
+            assert (traj.states[0] == [0.25, -0.5]).all()
+            rows = list(traj.states)
+            assert not any(np.shares_memory(r, u0) for r in rows)
+            assert not any(np.shares_memory(rows[i], rows[j])
+                           for i in range(len(rows)) for j in range(i))
+        u0 = np.array([1.0, 2.0])
+        traj = integrate_field(lambda u: -u, u0, SolverConfig(Method.RK4, 0.1, 0.35))
+        u0[:] = 7.0
+        assert (traj.states[0] == [1.0, 2.0]).all()
+
     def test_rk4_leak_against_exponential(self):
         net = leak_neuron()
         traj = simulate(net, [1.0], SolverConfig(Method.RK4, 1e-3, 1.0, 1))

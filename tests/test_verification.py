@@ -1,6 +1,7 @@
 """Verification: tau intervals, state boxes, monitors, conservation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,18 @@ class TestMonitor:
             assert found == [(1.0, 2), (2.0, 0), (3.0, 0), (3.0, 1), (3.0, 2)]
             assert all(math.isnan(v.bound) for v in report.entries
                        if v.kind is ViolationKind.NON_FINITE)
+
+    def test_huge_finite_states_checked_without_warning(self):
+        # gamma * (v + mu) overflows to +-inf: the gating saturates at 1 or 0
+        net = LtcNetwork((NeuronParams(1.0, 0.5, 0.0),) * 2,
+                         (ChemicalSynapse(0, 1, 1.0, 2.0, 0.0, 1.0),), (), 1)
+        traj = Trajectory(np.arange(3.0), np.array([[0.0, 0.0], [1e308, 0.0],
+                                                    [-1e308, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = monitor_trajectory(traj, net, 1e-6)
+        assert [(v.time, v.neuron, v.kind) for v in report.entries] == [
+            (1.0, 0, ViolationKind.STATE_HIGH), (2.0, 0, ViolationKind.STATE_LOW)]
 
     def test_bad_tolerance_rejected(self):
         net = leak_neuron()
