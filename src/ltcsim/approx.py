@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 from itertools import count, islice
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import expit
 
+from . import model
 from .errors import (
     ConditionsViolatedError,
     DomainError,
@@ -131,7 +130,7 @@ class FeedForwardApprox:
 def feedforward_eval(fit: FeedForwardApprox, points: np.ndarray) -> np.ndarray:
     """Evaluate the fitted model on rows of ``points``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    h = expit(points @ fit.projection_matrix.T + fit.bias)
+    h = model.expit(points @ fit.projection_matrix.T + fit.bias)
     return h @ fit.readout_matrix.T
 
 
@@ -206,6 +205,8 @@ def fit_feedforward(
     ridge solution on a Halton sample of the domain; the reported sup
     error is measured on a held-out regular grid.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     if n_features < 1:
         raise ValueError(f"n_features must be >= 1, got {n_features}")
     if n_samples < 1:
@@ -230,11 +231,11 @@ def fit_feedforward(
     unit = _halton(n_samples, fld.dim)
     samples = lo + unit * (hi - lo)
     targets = _field_values(fld, samples)
-    hidden = expit(samples @ projection.T + bias)
+    hidden = model.expit(samples @ projection.T + bias)
     gram = hidden.T @ hidden + ridge * np.eye(n_features)
     try:
         factor = cho_factor(gram)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # the class scipy.linalg raises
         raise RankDeficiencyError(
             "normal equations are singular; use ridge > 0 to regularize"
         ) from exc
@@ -242,7 +243,7 @@ def fit_feedforward(
 
     grid = _validation_grid(fld)
     truth = _field_values(fld, grid)
-    preds = expit(grid @ projection.T + bias) @ readout.T
+    preds = model.expit(grid @ projection.T + bias) @ readout.T
     sup_error = float(np.max(np.linalg.norm(truth - preds, axis=1)))
     return FeedForwardApprox(readout, projection, bias, sup_error)
 
@@ -362,7 +363,7 @@ def augmented_rhs(system: AugmentedSystem):
     def rhs(z):
         x = z[:n]
         y = z[n:]
-        s = expit(y)
+        s = model.expit(y)
         load_x = per_syn * (mask_x @ s)
         load_y = per_syn * (mask_y @ s)
         dx = -(inv_tau + load_x) * x + drive_x @ s + a1

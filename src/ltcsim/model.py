@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionMismatchError, TopologyError
 
@@ -42,6 +41,12 @@ __all__ = [
     "effective_time_constant",
     "validate_state",
 ]
+
+
+def expit(x):  # scipy.special's ufunc, imported on first call (~0.1 s) and bound here
+    global expit
+    from scipy.special import expit
+    return expit(x)
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -226,12 +231,12 @@ class LtcNetwork:
         # attribute reads on their fast path (measurably so in
         # network_derivative); values derived on first use go into _cache.
         # Gap endpoints are concatenated a-side first, then b-side, so that a
-        # single bincount accumulates in the same order as the two-pass
-        # per-neuron loop in neuron_derivative.
+        # single bincount sums in the order of neuron_derivative's two passes;
+        # _gw2 is None without junctions, and then _inflow skips the gap sum.
         for name, value in (*zip(_ARRAYS, arrays), ("n_output", n_output), ("size", size),
                             ("_gself", np.concatenate([ga, gb])),
-                            ("_gother", np.concatenate([gb, ga])),
-                            ("_gw2", np.concatenate([gw, gw])), ("_cache", {})):
+                            ("_gother", np.concatenate([gb, ga])), ("_cache", {}),
+                            ("_gw2", np.concatenate([gw, gw]) if gw.size else None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -374,6 +379,9 @@ def _inflow(net: LtcNetwork, base, chem: np.ndarray, gap) -> np.ndarray:
     step and the conductance loads, so all of them sum in the order of the
     per-neuron loop.  A 2-D ``chem`` (one row per state) is summed row by
     row in the same order through the offset indices ``dst + size * row``.
+
+    ``gap`` None (no junctions) skips the gap sum bit for bit: bincount sums
+    start at +0.0, so ``base + chem_in`` is never -0.0 and + 0.0 is a no-op.
     """
     size = net.size
     if chem.ndim == 1:
@@ -383,7 +391,8 @@ def _inflow(net: LtcNetwork, base, chem: np.ndarray, gap) -> np.ndarray:
         dst = (net._dst + size * np.arange(rows)[:, None]).ravel()
         chem_in = np.bincount(dst, weights=chem.ravel(),
                               minlength=rows * size).reshape(rows, size)
-    return base + chem_in + np.bincount(net._gself, weights=gap, minlength=size)
+    s = base + chem_in
+    return s if gap is None else s + np.bincount(net._gself, weights=gap, minlength=size)
 
 
 def _conductance_loads(net: LtcNetwork, sig: np.ndarray) -> np.ndarray:
@@ -397,16 +406,19 @@ def _conductance_loads(net: LtcNetwork, sig: np.ndarray) -> np.ndarray:
 
 
 def network_derivative(state, net: LtcNetwork) -> np.ndarray:
-    """All-neuron derivative; componentwise equal to neuron_derivative."""
+    """All-neuron derivative; componentwise equal to neuron_derivative.
+
+    A huge state may raise numpy's overflow warning: an ``np.errstate`` per
+    call would cost ~0.5 us of a ~4 us call, so the solver sets one per run."""
     u = np.asarray(state, dtype=float)
     if u.ndim != 1 or u.shape[0] != net.size:
         raise DimensionMismatchError(
             f"state has shape {u.shape}, network has {net.size} neurons"
         )
     sig = _chem_activations(net, u)
+    gap = None if net._gw2 is None else net._gw2 * (u[net._gother] - u[net._gself])
     return _inflow(net, net._g * (net._vleak - u),
-                   net._w * sig * (net._erev - u[net._dst]),
-                   net._gw2 * (u[net._gother] - u[net._gself])) / net._cm
+                   net._w * sig * (net._erev - u[net._dst]), gap) / net._cm
 
 
 def effective_time_constant(i: int, state, net: LtcNetwork) -> float:
@@ -419,7 +431,7 @@ def effective_time_constant(i: int, state, net: LtcNetwork) -> float:
     if not 0 <= i < net.size:
         raise IndexError(f"neuron index {i} out of range for {net.size} neurons")
     u = np.asarray(state, dtype=float)
-    sig = _chem_activations(net, u)
-    loads = _conductance_loads(net, sig)
-    with np.errstate(divide="ignore"):
+    # gamma * (v + mu) may overflow to +-inf, whose sigmoid is exactly 1 or 0
+    with np.errstate(divide="ignore", over="ignore"):
+        loads = _conductance_loads(net, _chem_activations(net, u))
         return float(net._cm[i] / loads[i])

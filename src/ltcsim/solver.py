@@ -103,7 +103,8 @@ def _rk4_update(f, u: np.ndarray, dt: float) -> np.ndarray:
 
 def _semi_implicit_update(net: LtcNetwork, u: np.ndarray, dt: float) -> np.ndarray:
     wsig = net._w * _chem_activations(net, u)
-    a_num = _inflow(net, net._g * net._vleak, wsig * net._erev, net._gw2 * u[net._gother])
+    a_num = _inflow(net, net._g * net._vleak, wsig * net._erev,
+                    None if net._gw2 is None else net._gw2 * u[net._gother])
     b_den = _inflow(net, net._g, wsig, net._gw2)
     return (u + dt * (a_num / net._cm)) / (1.0 + dt * (b_den / net._cm))
 
@@ -120,12 +121,11 @@ def _run(update, u: np.ndarray, config: SolverConfig) -> Trajectory:
         for k in range(1, n_steps + 1):
             u = update(u, config.dt if k <= n_full else remainder)
             t = k * config.dt if k < n_steps else config.t_end
-            if u.size and not np.isfinite(u).all():
-                partial = Trajectory(np.array(times), np.array(states))
+            # nan/inf make u.u non-finite; if finite squares overflow, test exactly
+            if not math.isfinite(u.dot(u)) and not np.isfinite(u).all():
                 raise IntegrationDivergedError(
                     f"integration diverged at t={t}: non-finite state component",
-                    partial,
-                )
+                    Trajectory(np.array(times), np.array(states)))
             if k % config.record_every == 0 or k == n_steps:
                 times.append(t)
                 states.append(u)
@@ -163,4 +163,6 @@ def integrate_field(f, u0, config: SolverConfig) -> Trajectory:
     network structure and is not available here.
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
+    if u0.ndim != 1:
+        raise DimensionMismatchError(f"u0 must be 1-D, got shape {u0.shape}")
     return _run(_update(config.method, f), u0, config)

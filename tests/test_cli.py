@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import math
 import os
 import re
@@ -394,3 +395,33 @@ def test_import_skips_scipy_stats_and_spatial():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert out.stdout.strip() == "[]"
+
+
+def test_scipy_loaded_only_where_called(tmp_path):
+    # import ltcsim and bounds evaluate no sigmoid and solve nothing; simulate
+    # and verify need scipy.special's expit but not scipy.linalg
+    net, traj = str(tmp_path / "net.json"), str(tmp_path / "traj.csv")
+    with open(net, "w") as fh:
+        fh.write(serialize_network(two_neuron_chain()))
+    code = f"""
+import contextlib, io, json, sys
+import ltcsim
+from ltcsim.cli import cli_dispatch
+seen = []
+for argv in ([], ["bounds", "--net", {net!r}],
+             ["simulate", "--net", {net!r}, "--init", "0.5,0.3", "--dt", "0.01",
+              "--t-end", "0.1", "--out", {traj!r}],
+             ["verify", "--net", {net!r}, "--traj", {traj!r}]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert not argv or cli_dispatch(argv) == 0
+    seen.append(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(json.dumps(seen))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    after_import, after_bounds, after_simulate, after_verify = json.loads(out.stdout)
+    assert after_import == [] and after_bounds == []
+    assert "scipy.special" in after_simulate
+    for loaded in (after_simulate, after_verify):
+        assert not [m for m in loaded if m.startswith("scipy.linalg")]

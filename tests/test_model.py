@@ -229,6 +229,17 @@ class TestEffectiveTimeConstant:
         # 1 / (0.5 + 1.0 * 0.5)
         assert effective_time_constant(1, [0.0, 0.0], net) == pytest.approx(1.0)
 
+    def test_huge_state_saturates_without_warning(self):
+        # gamma * v overflows to inf for a finite v near 1e308; the sigmoid is
+        # exactly 1, and no "overflow encountered in multiply" may escape
+        net = LtcNetwork(
+            (NeuronParams(1.0, 0.5, 0.0), NeuronParams(1.0, 0.5, 0.0)),
+            (ChemicalSynapse(0, 1, 1.0, 2.0, 0.0, 1.0),),
+            (),
+            1,
+        )
+        assert effective_time_constant(1, [1e308, 0.0], net) == 1.0 / (0.5 + 1.0)
+
     def test_interval_membership_random(self):
         rng = np.random.default_rng(7)
         for _ in range(200):

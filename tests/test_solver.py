@@ -1,21 +1,29 @@
 """Solver: steppers, trajectory recording, convergence, boundedness."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ltcsim import (
+    ChemicalSynapse,
+    DimensionMismatchError,
     IntegrationDivergedError,
+    LtcNetwork,
     Method,
+    NeuronParams,
     SolverConfig,
     integrate_field,
     network_derivative,
+    neuron_derivative,
     random_network,
     sigmoid_activation,
     simulate,
     state_bounds,
 )
+from ltcsim.model import _conductance_loads
 from helpers import (
     box_arrays,
     driven_pair,
@@ -93,6 +101,33 @@ class TestSteppers:
                                         max_size=net.size)), dtype=float)
         got = one_step(Method.SEMI_IMPLICIT, u, net, dt)
         assert (got.view(np.int64) == semi_implicit_step(u, net, dt).view(np.int64)).all()
+
+    @pytest.mark.parametrize("g_leak", [1.0, -0.0])
+    def test_gap_free_signed_zeros_match_oracles(self, g_leak):
+        # no junctions, so the gap sum is left out; base + chemical sum must
+        # still give +0.0 where the loop's (leak + 0.0) + 0.0 does, also for
+        # a neuron that receives nothing in a network with no synapse at all
+        alone = LtcNetwork((NeuronParams(1.0, g_leak, -0.0),), (), (), 1)
+        chain = LtcNetwork((NeuronParams(1.0, g_leak, -0.0),) * 2,
+                           (ChemicalSynapse(0, 1, 1.0, 1.0, 0.0, -0.0),), (), 1)
+        for net in (alone, chain):
+            u = np.zeros(net.size)
+            loop = [neuron_derivative(i, u, net) for i in range(net.size)]
+            sig = np.array([sigmoid_activation(u[s.src], s.gamma, s.mu) for s in net.chem])
+            loads = []
+            for i, p in enumerate(net.neurons):
+                chem = 0.0
+                for s, a in zip(net.chem, sig):
+                    if s.dst == i:
+                        chem += s.w * a
+                loads.append(p.g_leak + chem + 0.0)
+            for got, want in [
+                (network_derivative(u, net), loop),
+                (one_step(Method.SEMI_IMPLICIT, u, net, 0.1), semi_implicit_step(u, net, 0.1)),
+                (_conductance_loads(net, sig), loads),
+            ]:
+                assert (np.asarray(got).view(np.int64)
+                        == np.asarray(want, dtype=float).view(np.int64)).all()
 
     def test_euler_matches_rk4_to_second_order(self):
         # |euler - rk4| = O(dt^2): halving dt shrinks the gap about 4x
@@ -213,6 +248,28 @@ class TestSimulate:
         assert partial is not None
         assert partial.n_points >= 1
         assert np.isfinite(partial.states).all()
+
+    def test_finite_state_whose_square_overflows_is_not_divergence(self):
+        # u.u is inf here, but every entry is finite: the run goes on
+        for method in Method:
+            traj = simulate(leak_neuron(), [1e200], SolverConfig(method, 0.1, 1.0))
+            assert traj.n_points == 11 and np.isfinite(traj.states).all()
+        traj = integrate_field(lambda u: -u, [1e200, -1e200], SolverConfig(Method.RK4, 0.1, 1.0))
+        assert traj.n_points == 11 and np.isfinite(traj.states).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_divergence_time_and_partial_rows(self, bad):
+        # a field that turns one entry non-finite on the second step
+        f = lambda u: np.array([1.0, bad if u[0] >= 1.0 else 0.0])
+        with pytest.raises(IntegrationDivergedError, match=r"diverged at t=2\.0: ") as info:
+            integrate_field(f, [0.0, 0.0], SolverConfig(Method.EULER, 1.0, 5.0))
+        partial = info.value.trajectory
+        assert partial.times.tolist() == [0.0, 1.0]
+        assert partial.states.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+
+    def test_integrate_field_rejects_non_vector_state(self):
+        with pytest.raises(DimensionMismatchError):
+            integrate_field(lambda u: -u, [[1.0, 2.0]], SolverConfig(Method.EULER, 0.1, 1.0))
 
     def test_gap_ring_conservation(self):
         from ltcsim import conservation_check
