@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from operator import itemgetter
 
 import numpy as np
@@ -204,18 +205,42 @@ def _read_text(path, kind: str) -> str:
         raise FormatError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
+_CHUNK = 1 << 20
+
+
+def _holds(path, data: bytes) -> bool:
+    """True, with the mtime set to now, if ``path`` is a regular file holding
+    exactly ``data``: type and size are checked before an ``r+b`` open (so no
+    FIFO or device is opened) and on the open file, then the bytes by chunk."""
+    def same(st):
+        return stat.S_ISREG(st.st_mode) and st.st_size == len(data)
+    try:
+        if not same(os.stat(path)):
+            return False
+        with open(path, "r+b") as fh:
+            if not same(os.fstat(fh.fileno())) or any(
+                    fh.read(_CHUNK) != data[i:i + _CHUNK] for i in range(0, len(data), _CHUNK)):
+                return False
+            os.utime(fh.fileno())
+            return True
+    except OSError:  # then "w" is tried, and reports what it cannot do
+        return False
+
+
 def _write_text(path, text: str, kind: str) -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not _holds(path, text.encode("utf-8")):  # truncating would free its blocks: slow
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
         raise FormatError(f"cannot write {kind} file {path}: {exc}") from exc
 
 
 def _check_writable(path, kind: str) -> None:
-    """Raise ``_write_text``'s error if ``path`` is a directory or its
-    directory is missing; then opening fails before any file is made."""
-    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+    """Raise ``_write_text``'s error if ``path`` is empty, a directory or in
+    a missing directory; then opening fails before any file is made."""
+    if path is not None and (not path or os.path.isdir(path)
+                             or not os.path.isdir(os.path.dirname(path) or ".")):
         _write_text(path, "", kind)
 
 

@@ -361,14 +361,13 @@ def neuron_derivative(i: int, state, net: LtcNetwork) -> float:
 
 
 def _chem_activations(net: LtcNetwork, u: np.ndarray) -> np.ndarray:
-    """Per-synapse sigmoid activations at state ``u``, or per row of a 2-D ``u``:
-    one ``expit`` per activation channel, gathered to its synapses.  For rows,
-    ``take`` gathers several times faster than ``u[:, src]``; on one state the
-    plain gather is the fastest (the derivative's hot path)."""
+    """Per-synapse sigmoid activations at ``u`` (one state, or one per row):
+    one ``expit`` per activation channel, gathered to its synapses by ``take``,
+    which beats fancy indexing except on one state's few sources (``u[src]``)."""
     src, gamma, mu, of = net._cache.get("chan") or net._channel_table()
     one = u.ndim == 1
     sig = expit(gamma * ((u[src] if one else u.take(src, axis=1)) + mu))
-    return sig if of is None else (sig[of] if one else sig.take(of, axis=1))
+    return sig if of is None else sig.take(of, axis=-1)
 
 
 def _inflow(net: LtcNetwork, base, chem: np.ndarray, gap) -> np.ndarray:

@@ -162,6 +162,33 @@ class TestErrorPaths:
         assert err.startswith(f"ERROR parse: cannot write {kind} file {out}")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, kind", [("--out", "trajectory"),
+                                            ("--out-net", "network"),
+                                            ("--out-traj", "trajectory"),
+                                            ("--report", "report")])
+    def test_empty_output_path(self, capsys, tmp_path, flag, kind):
+        # fails before any input is read: the network file does not exist,
+        # and approximate's other outputs are never written
+        if flag == "--out":
+            argv = ["simulate", "--net", str(tmp_path / "absent.json"), "--init", "0.1",
+                    "--dt", "0.1", "--t-end", "0.2"]
+        else:
+            argv = [*TestApproximate.ARGS,
+                    *(arg for other in ("--out-net", "--out-traj", "--report")
+                      if other != flag for arg in (other, str(tmp_path / other[2:])))]
+        code, _, err = run(capsys, *argv, flag, "")
+        assert code == 2
+        assert err.startswith(f"ERROR parse: cannot write {kind} file : ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_output_open_exits_2(self, capsys, net_file, tmp_path, opens):
+        opens[1].update({"r+b", "w"})
+        out = tmp_path / "o.csv"
+        code, _, err = run(capsys, "simulate", "--net", net_file, "--init", "0.1",
+                           "--dt", "0.1", "--t-end", "0.2", "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"ERROR parse: cannot write trajectory file {out}: ")
+
     def test_invalid_network_document(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"neurons": [{"cm": 0, "g_leak": 1, "v_leak": 0}], '
@@ -370,6 +397,24 @@ class TestApproximate:
             paths.append((net_path, traj_path, rep_path))
         for left, right in zip(paths[0], paths[1]):
             assert left.read_bytes() == right.read_bytes()
+
+    def test_repeat_run_leaves_identical_outputs_in_place(self, capsys, tmp_path, opens):
+        def outputs(tag):
+            return [tmp_path / f"{tag}_{name}" for name in ("net.json", "pair.csv", "rep.txt")]
+
+        def approximate(paths):
+            flags = zip(("--out-net", "--out-traj", "--report"), map(str, paths))
+            assert run(capsys, *self.ARGS, *(a for pair in flags for a in pair))[0] == 0
+
+        approximate(outputs("a"))
+        inodes = [p.stat().st_ino for p in outputs("a")]
+        opens[0].clear()
+        approximate(outputs("a"))
+        assert "w" not in opens[0]
+        assert [p.stat().st_ino for p in outputs("a")] == inodes
+        approximate(outputs("fresh"))
+        for again, fresh in zip(outputs("a"), outputs("fresh")):
+            assert again.read_bytes() == fresh.read_bytes()
 
     def test_stiff_field_exits_zero(self, capsys):
         # exp(l_gtilde * horizon) overflows here; the conditions report FAIL

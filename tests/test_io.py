@@ -22,6 +22,7 @@ from ltcsim import (
     write_network,
     write_trajectory,
 )
+from ltcsim.io import _write_text
 from helpers import networks, two_neuron_chain
 
 def reference_document(net):
@@ -228,9 +229,12 @@ class TestTrajectoryCsv:
 
 class TestWriteText:
     """Outputs are written with ``open(path, "w")``: an existing file is
-    truncated and rewritten, so it stays the same file."""
+    truncated and rewritten, so it stays the same file.  A regular file that
+    already holds the exact bytes is not truncated: it keeps them, with a
+    fresh mtime."""
 
     TRAJ = Trajectory(np.array([0.0, 0.5]), np.array([[1.0, -2.0], [0.25, 3.0]]))
+    BIG = "x" * ((1 << 20) + 4096)  # more than one 1 MB compare chunk
 
     def test_shorter_text_leaves_only_new_bytes(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -273,3 +277,61 @@ class TestWriteText:
             write_network(two_neuron_chain(), tmp_path)
         with pytest.raises(FormatError, match="cannot write trajectory file"):
             write_trajectory(self.TRAJ, tmp_path / "missing" / "out.csv")
+
+    def test_identical_rewrite_keeps_file_and_bumps_mtime(self, tmp_path, opens):
+        path = tmp_path / "net.json"
+        write_network(two_neuron_chain(), path)
+        os.chmod(path, 0o604)
+        os.utime(path, (0, 0))
+        before = os.stat(path)
+        opens[0].clear()
+        write_network(two_neuron_chain(), path)
+        after = os.stat(path)
+        assert path.read_text() == serialize_network(two_neuron_chain())
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (
+            before.st_ino, before.st_mode, before.st_nlink)
+        assert after.st_mtime > 0
+        assert "w" not in opens[0]
+
+    @pytest.mark.parametrize("at", [0, 1 << 20, -1])
+    def test_same_length_other_bytes_rewritten(self, tmp_path, opens, at):
+        path = tmp_path / "big.txt"
+        old = bytearray(self.BIG.encode())
+        old[at] = ord("y")
+        path.write_bytes(old)
+        _write_text(path, self.BIG, "report")
+        assert path.read_text() == self.BIG
+        assert "w" in opens[0]
+
+    @pytest.mark.parametrize("size", [0, 100, 1 << 20, (1 << 20) + 4096])
+    def test_old_file_extending_new_bytes_rewritten(self, tmp_path, size):
+        # every compare chunk matches when the new length is a whole number
+        # of chunks; only the length check sees the old tail
+        path = tmp_path / "big.txt"
+        path.write_text("x" * size + "tail")
+        _write_text(path, "x" * size, "report")
+        assert path.read_text() == "x" * size
+
+    def test_refused_read_write_open_falls_back_to_w(self, tmp_path, opens):
+        path = tmp_path / "out.csv"
+        write_trajectory(self.TRAJ, path)
+        modes, refused = opens
+        modes.clear()
+        refused.add("r+b")
+        write_trajectory(self.TRAJ, path)
+        assert modes == ["r+b", "w"]
+        assert path.read_text() == trajectory_to_csv(self.TRAJ)
+
+    @pytest.mark.parametrize("same", [True, False])
+    def test_refused_w_open_is_format_error(self, tmp_path, opens, same):
+        path = tmp_path / "out.csv"
+        path.write_text(trajectory_to_csv(self.TRAJ) if same else "old\n")
+        opens[1].update({"r+b", "w"})
+        with pytest.raises(FormatError, match="cannot write trajectory file"):
+            write_trajectory(self.TRAJ, path)
+
+    def test_new_file_and_devnull_take_w_path(self, tmp_path, opens):
+        write_trajectory(self.TRAJ, tmp_path / "new.csv")
+        write_trajectory(self.TRAJ, os.devnull)
+        assert opens[0] == ["w", "w"]
+        assert (tmp_path / "new.csv").read_text() == trajectory_to_csv(self.TRAJ)

@@ -1,0 +1,51 @@
+"""The benchmark tracer's hold on the program: every name it wraps exists, and
+the solver calls the derivative through the name the tracer wraps, as often
+as the tracer's step count assumes."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import ltcsim.solver
+from ltcsim import Method, SolverConfig, simulate
+from helpers import two_neuron_chain
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    """``bench/tracing.py`` as a module, loaded without writing a bytecode file."""
+    spec = importlib.util.spec_from_file_location("ltcsim_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    cached, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = cached
+    return module
+
+
+def test_every_patched_name_resolves(tracing):
+    missing = [f"{module}.{attr}" for module, attr, *_ in tracing.PATCHES
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("method, calls_per_step", [(Method.EULER, 1), (Method.RK4, 4)])
+@pytest.mark.parametrize("dt, t_end", [(0.1, 1.0), (0.1, 0.25), (0.01, 0.5)])
+def test_derivative_calls_per_step(tracing, monkeypatch, method, calls_per_step, dt, t_end):
+    calls = []
+    derivative = ltcsim.solver.network_derivative
+
+    def counted(u, net):
+        calls.append(1)
+        return derivative(u, net)
+
+    monkeypatch.setattr(ltcsim.solver, "network_derivative", counted)
+    config = SolverConfig(method, dt, t_end)
+    simulate(two_neuron_chain(), [0.2, 0.3], config)
+    assert len(calls) == calls_per_step * tracing._solver_steps(config)
