@@ -37,22 +37,24 @@ __all__ = [
 _TOP_KEYS = ("neurons", "chemical_synapses", "gap_junctions", "n_output")
 
 
-def _json_list(name: str, fields, cols) -> str:
-    """``"name": [...]`` laid out exactly as ``json.dumps(indent=2)`` does;
-    Python's float and int repr is what the JSON encoder writes."""
+def _json_list(name: str, fields, cols) -> list:
+    """Pieces of ``"name": [...]`` laid out exactly as ``json.dumps(indent=2)``
+    does; Python's float and int repr is what the JSON encoder writes."""
     if not cols[0]:
-        return f'  "{name}": []'
+        return [f'  "{name}": []']
     item = "    {\n" + ",\n".join(f'      "{f}": %r' for f in fields) + "\n    }"
-    return f'  "{name}": [\n' + ",\n".join(map(item.__mod__, zip(*cols))) + "\n  ]"
+    rows = zip(*cols)
+    return [f'  "{name}": [\n' + item % next(rows), *map((",\n" + item).__mod__, rows), "\n  ]"]
 
 
 def serialize_network(net: LtcNetwork) -> str:
-    parts = [
-        _json_list(name, fields, [getattr(net, _ARRAY_OF[f]).tolist() for f in fields])
-        for name, fields, _ in _GROUPS
-    ]
-    parts.append(f'  "n_output": {net.n_output!r}')
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+    # One join over every piece: the text is built once, not copied per list
+    pieces = ["{\n"]
+    for name, fields, _ in _GROUPS:
+        pieces += _json_list(name, fields, [getattr(net, _ARRAY_OF[f]).tolist() for f in fields])
+        pieces.append(",\n")
+    pieces.append(f'  "n_output": {net.n_output!r}\n}}\n')
+    return "".join(pieces)
 
 
 def _check_keys(item, required, path):
@@ -106,7 +108,7 @@ def _columns(items, fields, kind, path) -> dict:
         raise FormatError(f"{path} must be a list")
     try:
         if set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(fields)}:
-            cols = list(zip(*map(itemgetter(*fields), items))) or [()] * len(fields)
+            cols = [list(map(itemgetter(f), items)) for f in fields]
             if all(set(map(type, col)) <= ({int} if f in _INDEX_FIELDS else {int, float})
                    for f, col in zip(fields, cols)):
                 return {f: col if f in _INDEX_FIELDS else np.array(col, dtype=float)
@@ -166,18 +168,19 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # blank lines are skipped, but errors name a line by its place in the file
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise FormatError("empty trajectory file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header[0] != "t" or any(
         h != f"v{i}" for i, h in enumerate(header[1:])
     ):
-        raise FormatError(f"bad trajectory header {lines[0]!r}")
+        raise FormatError(f"bad trajectory header {lines[0][1]!r}")
     n_cols = len(header)
     times = []
     states = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != n_cols:
             raise FormatError(

@@ -138,6 +138,7 @@ _GROUPS = (
 _ARRAYS = ("_cm", "_g", "_vleak", "_src", "_dst", "_w", "_gamma", "_mu", "_erev",
            "_ga", "_gb", "_gw")
 _ARRAY_OF = dict(zip(_NEURON_FIELDS + _CHEM_FIELDS + _GAP_FIELDS, _ARRAYS))
+_ACT = ("_asrc", "_agamma", "_amu", "_aw", "_aerev", "_adst")
 
 
 def _column(values, field: str) -> np.ndarray:
@@ -226,6 +227,20 @@ class LtcNetwork:
                 raise TopologyError(f"{path}[{k}]: " + why.format(first[k]))
         for arr in arrays:
             arr.flags.writeable = False
+        # A block (what realize_as_ltc builds): no junctions, and sources
+        # 0..R-1 in order each sending one synapse to every neuron in order,
+        # all of a source's synapses sharing (w, gamma, mu) bit for bit.  Its
+        # activation columns (_a*) hold one (R, 1) row per source, which
+        # broadcasts against e_rev as an (R, size) grid; otherwise they are
+        # the synapse columns themselves.
+        rows = src.size // size if size and not gw.size and src.size % size == 0 else 0
+        grid = [c.reshape(rows, size) for c in (src, dst, w, gamma, mu)] if rows else ()
+        block = rows > 0 and bool(
+            (grid[0] == np.arange(rows)[:, None]).all() and (grid[1] == np.arange(size)).all()
+            and all((c.view(np.int64) == c[:, :1].view(np.int64)).all() for c in grid[2:]))
+        act = ((grid[0][:, :1], grid[3][:, :1], grid[4][:, :1], grid[2][:, :1],
+                erev.reshape(rows, size), slice(None)) if block
+               else (src, gamma, mu, w, erev, dst))
         # Attributes are set with object.__setattr__ (never through __dict__)
         # and in the same order for every network, which keeps CPython's
         # attribute reads on their fast path (measurably so in
@@ -236,7 +251,8 @@ class LtcNetwork:
         for name, value in (*zip(_ARRAYS, arrays), ("n_output", n_output), ("size", size),
                             ("_gself", np.concatenate([ga, gb])),
                             ("_gother", np.concatenate([gb, ga])), ("_cache", {}),
-                            ("_gw2", np.concatenate([gw, gw]) if gw.size else None)):
+                            ("_gw2", np.concatenate([gw, gw]) if gw.size else None),
+                            ("_block", block), *zip(_ACT, act)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -277,23 +293,9 @@ class LtcNetwork:
         if "tau" not in self._cache:
             with np.errstate(divide="ignore", over="ignore"):
                 self._cache["tau"] = (
-                    self._cm / _conductance_loads(self, np.ones(self.n_chem)),
-                    self._cm / _conductance_loads(self, np.zeros(self.n_chem)))
+                    self._cm / _conductance_loads(self, np.ones(self._aw.shape)),
+                    self._cm / _conductance_loads(self, np.zeros(self._aw.shape)))
         return self._cache["tau"]
-
-    def _channel_table(self) -> tuple:
-        """Activation channels, the distinct (src, gamma, mu) compared bit for bit:
-        their columns and each synapse's channel, or None when none is shared."""
-        if "chan" not in self._cache:
-            cols = (self._src, self._gamma, self._mu)
-            keys = [c.view(np.int64) for c in cols]
-            order = np.lexsort(keys)
-            new = np.r_[True, np.any([k[order][1:] != k[order][:-1] for k in keys], axis=0)]
-            of = np.empty_like(order)
-            of[order] = np.cumsum(new) - 1
-            self._cache["chan"] = ((*cols, None) if new.all()
-                                   else (*(c[order[new]] for c in cols), of))
-        return self._cache["chan"]
 
     @property
     def n_hidden(self) -> int:
@@ -361,13 +363,11 @@ def neuron_derivative(i: int, state, net: LtcNetwork) -> float:
 
 
 def _chem_activations(net: LtcNetwork, u: np.ndarray) -> np.ndarray:
-    """Per-synapse sigmoid activations at ``u`` (one state, or one per row):
-    one ``expit`` per activation channel, gathered to its synapses by ``take``,
-    which beats fancy indexing except on one state's few sources (``u[src]``)."""
-    src, gamma, mu, of = net._cache.get("chan") or net._channel_table()
-    one = u.ndim == 1
-    sig = expit(gamma * ((u[src] if one else u.take(src, axis=1)) + mu))
-    return sig if of is None else sig.take(of, axis=-1)
+    """Sigmoid activations at ``u`` (one state, or one per row): one per
+    synapse, or one (R, 1) row per source of a block.  ``take`` beats fancy
+    indexing on rows; ``u[src]`` is faster for one state's few sources."""
+    src = net._asrc
+    return expit(net._agamma * ((u[src] if u.ndim == 1 else u.take(src, axis=1)) + net._amu))
 
 
 def _inflow(net: LtcNetwork, base, chem: np.ndarray, gap) -> np.ndarray:
@@ -379,10 +379,19 @@ def _inflow(net: LtcNetwork, base, chem: np.ndarray, gap) -> np.ndarray:
     per-neuron loop.  A 2-D ``chem`` (one row per state) is summed row by
     row in the same order through the offset indices ``dst + size * row``.
 
+    A block's terms come as an (R, size) grid, each neuron's column summed
+    in source order from +0.0 (a reduction over a leading axis runs row by
+    row, never pairwise), or as (R, 1) terms that every neuron shares,
+    summed once per state by ``accumulate``, which is sequential too.
+
     ``gap`` None (no junctions) skips the gap sum bit for bit: bincount sums
     start at +0.0, so ``base + chem_in`` is never -0.0 and + 0.0 is a no-op.
     """
     size = net.size
+    if net._block:
+        if chem.shape[-1] == 1:  # 0.0 + turns an all -0.0 sum into bincount's +0.0
+            return base + (0.0 + np.add.accumulate(chem, axis=-2)[..., -1, :])
+        return base + np.add.reduce(chem, axis=0, initial=0.0)
     if chem.ndim == 1:
         chem_in = np.bincount(net._dst, weights=chem, minlength=size)
     else:
@@ -401,7 +410,7 @@ def _conductance_loads(net: LtcNetwork, sig: np.ndarray) -> np.ndarray:
     interval bounds of ``verify.tau_bounds`` so the membership inequality
     holds exactly in floating point (one accumulation order for all).
     """
-    return _inflow(net, net._g, net._w * sig, net._gw2)
+    return _inflow(net, net._g, net._aw * sig, net._gw2)
 
 
 def network_derivative(state, net: LtcNetwork) -> np.ndarray:
@@ -414,10 +423,10 @@ def network_derivative(state, net: LtcNetwork) -> np.ndarray:
         raise DimensionMismatchError(
             f"state has shape {u.shape}, network has {net.size} neurons"
         )
-    sig = _chem_activations(net, u)
+    wsig = net._aw * _chem_activations(net, u)
     gap = None if net._gw2 is None else net._gw2 * (u[net._gother] - u[net._gself])
     return _inflow(net, net._g * (net._vleak - u),
-                   net._w * sig * (net._erev - u[net._dst]), gap) / net._cm
+                   wsig * (net._aerev - u[net._adst]), gap) / net._cm
 
 
 def effective_time_constant(i: int, state, net: LtcNetwork) -> float:

@@ -102,8 +102,8 @@ def _rk4_update(f, u: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _semi_implicit_update(net: LtcNetwork, u: np.ndarray, dt: float) -> np.ndarray:
-    wsig = net._w * _chem_activations(net, u)
-    a_num = _inflow(net, net._g * net._vleak, wsig * net._erev,
+    wsig = net._aw * _chem_activations(net, u)
+    a_num = _inflow(net, net._g * net._vleak, wsig * net._aerev,
                     None if net._gw2 is None else net._gw2 * u[net._gother])
     b_den = _inflow(net, net._g, wsig, net._gw2)
     return (u + dt * (a_num / net._cm)) / (1.0 + dt * (b_den / net._cm))

@@ -168,10 +168,10 @@ def monitor_trajectory(
             Violation(float(traj.times[row]), int(i), ViolationKind.NON_FINITE,
                       float(traj.states[row, i]), math.nan)
         )
-    # Rows are checked in blocks that keep the (row, synapse) activations
-    # near 2**16 values.  Flags and values are stacked as (row, kind, neuron),
+    # Rows are checked in chunks that keep the (row, activation) values
+    # near 2**16.  Flags and values are stacked as (row, kind, neuron),
     # so one nonzero lists the entries row by row, kind by kind, neuron by neuron.
-    block = max(1, 2**16 // max(net.n_chem, 1))
+    block = max(1, 2**16 // max(net._aw.size, 1))
     for start in range(0, traj.n_points, block):
         u = traj.states[start:start + block]
         # gamma * (v + mu) may overflow to +-inf, whose sigmoid is exactly 1 or 0

@@ -63,8 +63,17 @@ def box_arrays(boxes):
     return lo, hi
 
 
+def realized_network(n_features=5, seed=0):
+    """The network realize_as_ltc builds for the rotation field: a block of
+    ``n_features`` sources driving all ``n_features + 2`` neurons."""
+    from ltcsim import assemble_augmented_system, fit_feedforward, realize_as_ltc
+
+    fit = fit_feedforward(rotation_field(), n_features, n_samples=64, seed=seed)
+    return realize_as_ltc(assemble_augmented_system(fit, 10.0, 1e-3))
+
+
 @st.composite
-def networks(draw, bound=None, shared=False):
+def networks(draw, bound=None, shared=False, block=False):
     """Random valid networks for property tests.
 
     Floats include -0.0 and subnormals, and reach 1e308 unless ``bound``
@@ -72,6 +81,11 @@ def networks(draw, bound=None, shared=False):
     ``shared``, each synapse takes gamma from a pool of at most two and mu
     from a pool of at most three values per source neuron (0.0 and -0.0
     among the candidates), so that synapses share activation channels.
+    With ``block``, sources 0..R-1 (R up to 12, past the 8 terms where numpy
+    starts summing pairwise) each drive every neuron, in order, through
+    synapses that share the source's (w, gamma, mu); 0.0 and -0.0 are drawn
+    often for w, mu, e_rev, g_leak and v_leak, and so are values of like
+    magnitude, whose sums round differently in another order.
     """
     kw = dict(allow_nan=False, allow_infinity=False)
     big = {} if bound is None else dict(min_value=-bound, max_value=bound)
@@ -79,6 +93,20 @@ def networks(draw, bound=None, shared=False):
     non_negative = st.floats(min_value=0.0, max_value=bound, **kw) | st.just(-0.0)
     positive = st.floats(min_value=0.0 if bound is None else 1.0 / bound,
                          max_value=bound, exclude_min=bound is None, **kw)
+    if block:
+        zero = st.sampled_from([0.0, -0.0])
+        unit = st.floats(-1.0, 1.0)
+        rows = draw(st.integers(1, 12))
+        size = draw(st.integers(rows, rows + 1)) + draw(st.integers(0, 2))
+        neurons = draw(st.lists(st.builds(NeuronParams, positive, non_negative | zero,
+                                          finite | zero), min_size=size, max_size=size))
+        sources = draw(st.lists(st.tuples(st.floats(0.0, 2.0) | non_negative | zero, positive,
+                                          unit | finite | zero),
+                                min_size=rows, max_size=rows))
+        e_rev = draw(st.lists(unit | finite | zero, min_size=rows * size, max_size=rows * size))
+        chem = [ChemicalSynapse(r, j, w, gamma, mu, e_rev[r * size + j])
+                for r, (w, gamma, mu) in enumerate(sources) for j in range(size)]
+        return LtcNetwork(neurons, chem, (), draw(st.integers(0, size - rows)))
     size = draw(st.integers(0, 6))
     n_output = draw(st.integers(0, size))
     n_hidden = size - n_output

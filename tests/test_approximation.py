@@ -1,6 +1,7 @@
 """Approximation: fits, Lipschitz estimates, augmented systems, pipeline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ltcsim import (
     RealizationError,
     SolverConfig,
     TauConditions,
+    Trajectory,
     VectorField,
     approximate_trajectory,
     assemble_augmented_system,
@@ -32,12 +34,16 @@ from ltcsim import (
     feedforward_eval,
     fit_feedforward,
     integrate_field,
+    monitor_trajectory,
     network_derivative,
+    neuron_derivative,
     realize_as_ltc,
     simulate,
 )
 from ltcsim.approx import _halton, _pairwise_distances
-from helpers import rotation_field
+from helpers import realized_network, rotation_field
+from test_solver import one_step, semi_implicit_step
+from test_verification import entry_bits, per_row_monitor
 
 # Calibrated offline: median sup_error over seeds 0..19 for the -x fit
 # below is 2.21e-5; threshold frozen at twice the median.
@@ -408,6 +414,38 @@ class TestRealize:
             chem = w * expit(gamma * (u[src] + mu)) * (e_rev - u[dst])
             want = (g * (v_leak - u) + np.bincount(dst, chem, net.size)) / cm
             assert (network_derivative(u, net).view(np.int64) == want.view(np.int64)).all()
+
+    def test_realized_network_is_a_block(self):
+        # every source drives every neuron with one (w, gamma, mu).  A network
+        # one synapse short, or with mu flipped to -0.0 on one synapse of a
+        # source, is no block; flipped on all of the source's synapses, it is
+        # one.  All of them evaluate bit for bit as the per-synapse loops.
+        net = realized_network(9, seed=4)
+        assert net._block and net.n_chem == 9 * net.size
+        assert (net._mu.view(np.int64) == 0).all()
+        chem = net.chem
+        k = 3 * net.size + 4  # source 3, target 4
+        short = LtcNetwork(net.neurons, chem[:k] + chem[k + 1:], (), net.n_output)
+        one = LtcNetwork(net.neurons, chem[:k] + (replace(chem[k], mu=-0.0),) + chem[k + 1:],
+                         (), net.n_output)
+        source = LtcNetwork(net.neurons, [replace(s, mu=-0.0) if s.src == 3 else s
+                                          for s in chem], (), net.n_output)
+        assert not short._block and not one._block and source._block
+        rng = np.random.default_rng(3)
+        states = rng.uniform(-2.0, 2.0, (6, net.size))
+        states[1, 2], states[2, 0], states[3, 1], states[4] = np.nan, np.inf, -np.inf, -0.0
+        traj = Trajectory(0.5 * np.arange(6), states)
+        for case in (net, short, one, source):
+            for u in states[[0, 4, 5]]:
+                loop = [neuron_derivative(i, u, case) for i in range(case.size)]
+                assert (network_derivative(u, case).view(np.int64)
+                        == np.array(loop).view(np.int64)).all()
+                assert (one_step(Method.SEMI_IMPLICIT, u, case, 0.1).view(np.int64)
+                        == semi_implicit_step(u, case, 0.1).view(np.int64)).all()
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = monitor_trajectory(traj, case, 1e-6).entries
+                want = per_row_monitor(traj, case, 1e-6)
+            assert entry_bits(got) == entry_bits(want)
 
     def test_unrepresentable_entry(self):
         readout = np.array([[1e308]])

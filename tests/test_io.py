@@ -222,6 +222,13 @@ class TestTrajectoryCsv:
         with pytest.raises(FormatError, match="line 2"):
             trajectory_from_csv("t,v0\n0,abc\n")
 
+    def test_error_after_blank_line_names_its_file_line(self):
+        # blank lines are skipped but still counted
+        with pytest.raises(FormatError, match="line 3:"):
+            trajectory_from_csv("t,v0\n\n0,abc\n")
+        with pytest.raises(FormatError, match="line 5: expected 2 columns, got 3"):
+            trajectory_from_csv("t,v0\n0,1\n\n\n0.1,1,2\n")
+
     def test_empty_file(self):
         with pytest.raises(FormatError, match="empty"):
             trajectory_from_csv("")

@@ -26,8 +26,8 @@ from helpers import networks, two_neuron_chain
 
 
 @st.composite
-def network_states(draw, values, shared=False):
-    net = draw(networks(bound=1e100, shared=shared))
+def network_states(draw, values, shared=False, block=False):
+    net = draw(networks(bound=1e100, shared=shared, block=block))
     u = draw(st.lists(values, min_size=net.size, max_size=net.size))
     return net, np.array(u, dtype=float)
 
@@ -191,6 +191,18 @@ class TestDerivatives:
                             dtype=float)
         assert (float_bits(vec) == float_bits(loop)).all()
 
+    @given(network_states(st.floats(-2.0, 2.0) | st.floats(-1e100, 1e100)
+                          | st.sampled_from([0.0, -0.0]), block=True))
+    def test_blocks_match_per_neuron_loop(self, case):
+        # one sigmoid per source, broadcast over an (R, size) grid
+        net, u = case
+        assert net._block
+        with np.errstate(over="ignore", invalid="ignore"):
+            vec = network_derivative(u, net)
+            loop = np.array([neuron_derivative(i, u, net) for i in range(net.size)],
+                            dtype=float)
+        assert (float_bits(vec) == float_bits(loop)).all()
+
     def test_index_out_of_range(self):
         net = two_neuron_chain()
         with pytest.raises(IndexError):
@@ -262,6 +274,16 @@ class TestEffectiveTimeConstant:
     @given(network_states(st.floats(-2.0, 2.0) | st.floats(-1e100, 1e100)
                           | st.sampled_from([math.inf, -math.inf]), shared=True))
     def test_interval_membership_shared_channels(self, case):
+        net, u = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(net.size):
+                tb = tau_bounds(i, net)
+                assert tb.tau_min <= effective_time_constant(i, u, net) <= tb.tau_max
+
+
+    @given(network_states(st.floats(-2.0, 2.0) | st.floats(-1e100, 1e100)
+                          | st.sampled_from([0.0, -0.0, math.inf, -math.inf]), block=True))
+    def test_interval_membership_blocks(self, case):
         net, u = case
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(net.size):

@@ -102,6 +102,43 @@ class TestSteppers:
         got = one_step(Method.SEMI_IMPLICIT, u, net, dt)
         assert (got.view(np.int64) == semi_implicit_step(u, net, dt).view(np.int64)).all()
 
+    @given(networks(bound=1e6, block=True), st.data(), st.sampled_from([0.01, 0.1, 1.0]))
+    def test_semi_implicit_step_blocks(self, net, data, dt):
+        # bitwise, with one sigmoid per source and one load sum per state
+        assert net._block
+        u = np.array(data.draw(st.lists(st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0]),
+                                        min_size=net.size, max_size=net.size)), dtype=float)
+        got = one_step(Method.SEMI_IMPLICIT, u, net, dt)
+        assert (got.view(np.int64) == semi_implicit_step(u, net, dt).view(np.int64)).all()
+
+    @pytest.mark.parametrize("w", [0.0, -0.0])
+    @pytest.mark.parametrize("rows", [1, 12])
+    def test_block_signed_zeros_match_oracles(self, w, rows):
+        # every term of a neuron's block column, and of the shared load, is a
+        # signed zero: the sums must start at +0.0 as the loops' do
+        size = rows + 1
+        neurons = [NeuronParams(1.0, g, -0.0) for g in (1.0, -0.0) * size][:size]
+        chem = [ChemicalSynapse(r, j, w, 1.0, -0.0, (1.0, -1.0, -0.0)[j % 3])
+                for r in range(rows) for j in range(size)]
+        net = LtcNetwork(neurons, chem, (), 1)
+        assert net._block
+        for u in (np.zeros(size), np.full(size, -0.0)):
+            loop = [neuron_derivative(i, u, net) for i in range(size)]
+            sig = np.array([sigmoid_activation(u[r], 1.0, -0.0) for r in range(rows)])[:, None]
+            loads = []
+            for p in net.neurons:
+                chem = 0.0
+                for a in sig[:, 0]:
+                    chem += w * a
+                loads.append(p.g_leak + chem + 0.0)
+            for got, want in [
+                (network_derivative(u, net), loop),
+                (one_step(Method.SEMI_IMPLICIT, u, net, 0.1), semi_implicit_step(u, net, 0.1)),
+                (_conductance_loads(net, sig), loads),
+            ]:
+                assert (np.asarray(got).view(np.int64)
+                        == np.asarray(want, dtype=float).view(np.int64)).all()
+
     @pytest.mark.parametrize("g_leak", [1.0, -0.0])
     def test_gap_free_signed_zeros_match_oracles(self, g_leak):
         # no junctions, so the gap sum is left out; base + chemical sum must

@@ -11,7 +11,7 @@ import pytest
 
 import ltcsim.solver
 from ltcsim import Method, SolverConfig, simulate
-from helpers import two_neuron_chain
+from helpers import realized_network, two_neuron_chain
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -47,5 +47,8 @@ def test_derivative_calls_per_step(tracing, monkeypatch, method, calls_per_step,
 
     monkeypatch.setattr(ltcsim.solver, "network_derivative", counted)
     config = SolverConfig(method, dt, t_end)
-    simulate(two_neuron_chain(), [0.2, 0.3], config)
-    assert len(calls) == calls_per_step * tracing._solver_steps(config)
+    # a realized network is evaluated as a block, which must not bypass the name
+    for net in (two_neuron_chain(), realized_network()):
+        calls.clear()
+        simulate(net, [0.2, 0.3] + [0.1] * (net.size - 2), config)
+        assert len(calls) == calls_per_step * tracing._solver_steps(config)

@@ -32,6 +32,26 @@ from ltcsim.model import _chem_activations
 from helpers import box_arrays, gap_ring, leak_neuron, networks
 
 
+def closed_form_tau(i, net):
+    """Neuron i's interval with the loads summed in the documented order:
+    leak, incoming synapses, then gap junctions a-side before b-side."""
+    chem = gap = 0.0
+    for s in net.chem:
+        if s.dst == i:
+            chem += s.w
+    for g in net.gaps:
+        if g.a == i:
+            gap += g.w_hat
+    for g in net.gaps:
+        if g.b == i:
+            gap += g.w_hat
+    p = net.neurons[i]
+    with np.errstate(divide="ignore", over="ignore"):  # tau may be inf
+        tau_min = float(np.float64(p.cm) / (p.g_leak + chem + gap))
+        tau_max = float(np.float64(p.cm) / (p.g_leak + 0.0 + gap))
+    return TauInterval(i, tau_min, tau_max)
+
+
 def _one_incoming(w=1.0, w_hat=None):
     neurons = (NeuronParams(1.0, 0.5, 0.0), NeuronParams(1.0, 0.5, 0.0),
                NeuronParams(1.0, 0.5, 0.0))
@@ -91,23 +111,14 @@ class TestTauBounds:
 
     @given(networks(bound=1e100))
     def test_equals_closed_form(self, net):
-        # loads summed in the documented order: leak, incoming synapses,
-        # then gap junctions a-side before b-side
-        for i, p in enumerate(net.neurons):
-            chem = gap = 0.0
-            for s in net.chem:
-                if s.dst == i:
-                    chem += s.w
-            for g in net.gaps:
-                if g.a == i:
-                    gap += g.w_hat
-            for g in net.gaps:
-                if g.b == i:
-                    gap += g.w_hat
-            with np.errstate(divide="ignore", over="ignore"):  # tau may be inf
-                tau_min = float(np.float64(p.cm) / (p.g_leak + chem + gap))
-                tau_max = float(np.float64(p.cm) / (p.g_leak + 0.0 + gap))
-            assert tau_bounds(i, net) == TauInterval(i, tau_min, tau_max)
+        for i in range(net.size):
+            assert tau_bounds(i, net) == closed_form_tau(i, net)
+
+    @given(networks(bound=1e100, block=True))
+    def test_blocks_equal_closed_form(self, net):
+        # a block's shared load is summed once, in source order, from +0.0
+        for i in range(net.size):
+            assert tau_bounds(i, net) == closed_form_tau(i, net)
 
 
 class TestStateBounds:
@@ -286,10 +297,10 @@ def entry_bits(entries):
 
 
 @st.composite
-def checked_trajectories(draw, shared=False):
+def checked_trajectories(draw, shared=False, block=False):
     """A network and a trajectory with out-of-box, NaN and +-inf states,
     some placed just inside or outside a box edge widened by 1e-6."""
-    net = draw(networks(bound=1e100, shared=shared))
+    net = draw(networks(bound=1e100, shared=shared, block=block))
     rows = draw(st.integers(1, 5))
     value = (st.floats(-2.0, 2.0) | st.floats(-1e100, 1e100)
              | st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -322,6 +333,15 @@ class TestMonitorOracle:
             single = [_chem_activations(net, u) for u in traj.states]
         assert entry_bits(got) == entry_bits(want)
         assert np.array_equal(rows, np.reshape(single, rows.shape), equal_nan=True)
+
+    @given(checked_trajectories(block=True), st.sampled_from([0.0, 1e-6]))
+    def test_blocks_equal_per_row_oracle(self, case, tolerance):
+        net, traj = case
+        assert net._block
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = monitor_trajectory(traj, net, tolerance).entries
+            want = per_row_monitor(traj, net, tolerance)
+        assert entry_bits(got) == entry_bits(want)
 
     def test_rows_span_several_blocks(self):
         # fully wired hidden layers: 33,488 synapses checks one row per block,
