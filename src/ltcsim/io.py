@@ -48,7 +48,8 @@ def _json_list(name: str, fields, cols) -> list:
 
 
 def serialize_network(net: LtcNetwork) -> str:
-    # One join over every piece: the text is built once, not copied per list
+    # One join over all pieces builds the text once: every extra copy of a
+    # multi-MB document adds to the peak memory of the process writing it
     pieces = ["{\n"]
     for name, fields, _ in _GROUPS:
         pieces += _json_list(name, fields, [getattr(net, _ARRAY_OF[f]).tolist() for f in fields])

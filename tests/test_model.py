@@ -280,7 +280,6 @@ class TestEffectiveTimeConstant:
                 tb = tau_bounds(i, net)
                 assert tb.tau_min <= effective_time_constant(i, u, net) <= tb.tau_max
 
-
     @given(network_states(st.floats(-2.0, 2.0) | st.floats(-1e100, 1e100)
                           | st.sampled_from([0.0, -0.0, math.inf, -math.inf]), block=True))
     def test_interval_membership_blocks(self, case):
