@@ -161,7 +161,7 @@ def _cmd_approximate(args) -> int:
         header = ["t", *(f"x{i}_ref" for i in range(n)), *(f"x{i}_ltc" for i in range(n))]
         rows = np.column_stack([report.times, report.reference_states,
                                 report.network_outputs])
-        _write_text(args.out_traj, _csv_text(header, rows), "trajectory")
+        _write_text(args.out_traj, [_csv_text(header, rows)], "trajectory")
     cond = report.conditions
     report_lines = [
         "approximation report",
@@ -190,7 +190,7 @@ def _cmd_approximate(args) -> int:
     ]
     text = "\n".join(report_lines) + "\n"
     if args.report:
-        _write_text(args.report, text, "report")
+        _write_text(args.report, [text], "report")
     print(text, end="")
     return 0
 

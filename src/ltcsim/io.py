@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -37,25 +38,27 @@ __all__ = [
 _TOP_KEYS = ("neurons", "chemical_synapses", "gap_junctions", "n_output")
 
 
-def _json_list(name: str, fields, cols) -> list:
-    """Pieces of ``"name": [...]`` laid out exactly as ``json.dumps(indent=2)``
-    does; Python's float and int repr is what the JSON encoder writes."""
-    if not cols[0]:
-        return [f'  "{name}": []']
-    item = "    {\n" + ",\n".join(f'      "{f}": %r' for f in fields) + "\n    }"
-    rows = zip(*cols)
-    return [f'  "{name}": [\n' + item % next(rows), *map((",\n" + item).__mod__, rows), "\n  ]"]
+_ITEMS = 4096  # list items per piece of a streamed network document
+
+
+def _network_pieces(net: LtcNetwork):
+    """The network document laid out exactly as ``json.dumps(indent=2)`` does
+    (Python's float and int repr is what the JSON encoder writes), in pieces
+    of up to ``_ITEMS`` list items, each converting only its own rows."""
+    yield "{\n"
+    for name, fields, _ in _GROUPS:
+        arrays = [getattr(net, _ARRAY_OF[f]) for f in fields]
+        item = "\n    {\n" + ",\n".join(f'      "{f}": %r' for f in fields) + "\n    }"
+        yield f'  "{name}": ['
+        for s in range(0, len(arrays[0]), _ITEMS):
+            rows = zip(*(a[s:s + _ITEMS].tolist() for a in arrays))
+            yield ("," if s else "") + ",".join(map(item.__mod__, rows))
+        yield "\n  ],\n" if len(arrays[0]) else "],\n"
+    yield f'  "n_output": {net.n_output!r}\n}}\n'
 
 
 def serialize_network(net: LtcNetwork) -> str:
-    # One join over all pieces builds the text once: every extra copy of a
-    # multi-MB document adds to the peak memory of the process writing it
-    pieces = ["{\n"]
-    for name, fields, _ in _GROUPS:
-        pieces += _json_list(name, fields, [getattr(net, _ARRAY_OF[f]).tolist() for f in fields])
-        pieces.append(",\n")
-    pieces.append(f'  "n_output": {net.n_output!r}\n}}\n')
-    return "".join(pieces)
+    return "".join(_network_pieces(net))
 
 
 def _check_keys(item, required, path):
@@ -205,37 +208,44 @@ def _read_text(path, kind: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
-_CHUNK = 1 << 20
-
-
-def _holds(path, data: bytes) -> bool:
-    """True, with the mtime set to now, if ``path`` is a regular file holding
-    exactly ``data``: type and size are checked before an ``r+b`` open (so no
-    FIFO or device is opened) and on the open file, then the bytes by chunk."""
-    def same(st):
-        return stat.S_ISREG(st.st_mode) and st.st_size == len(data)
+def _differs(path, pieces):
+    """None, with the mtime set to now, if ``path`` is a regular file holding
+    exactly the UTF-8 bytes of ``pieces``; else the text taken from them so
+    far.  The type is checked before an ``r+b`` open (so no FIFO or device
+    is opened) and on the open file, then the bytes piece by piece."""
     try:
-        if not same(os.stat(path)):
-            return False
-        with open(path, "r+b") as fh:
-            if not same(os.fstat(fh.fileno())) or any(
-                    fh.read(_CHUNK) != data[i:i + _CHUNK] for i in range(0, len(data), _CHUNK)):
-                return False
-            os.utime(fh.fileno())
-            return True
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return ""
+        fh = open(path, "r+b")
     except OSError:  # then "w" is tried, and reports what it cannot do
-        return False
+        return ""
+    with fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return ""
+        done = 0
+        for piece in chain(pieces, [""]):  # the "" piece checks for EOF
+            data = piece.encode("utf-8")
+            if fh.read(len(data) or 1) != data:
+                fh.seek(0)  # the bytes before this piece matched: read them back
+                return fh.read(done).decode("utf-8") + piece
+            done += len(data)
+        os.utime(fh.fileno())
+        return None
 
 
-def _write_text(path, text: str, kind: str) -> None:
+def _write_text(path, pieces, kind: str) -> None:
+    """Write the str ``pieces`` unless the file holds their bytes already
+    (truncating would free its blocks: slow); no piece is made twice."""
+    pieces = iter(pieces)
     try:
-        if not _holds(path, text.encode("utf-8")):  # truncating would free its blocks: slow
+        head = _differs(path, pieces)
+        if head is not None:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chain([head], pieces))
     except OSError as exc:
         raise FormatError(f"cannot write {kind} file {path}: {exc}") from exc
 
@@ -245,11 +255,11 @@ def _check_writable(path, kind: str) -> None:
     a missing directory; then opening fails before any file is made."""
     if path is not None and (not path or os.path.isdir(path)
                              or not os.path.isdir(os.path.dirname(path) or ".")):
-        _write_text(path, "", kind)
+        _write_text(path, (), kind)
 
 
 def write_network(net: LtcNetwork, path) -> None:
-    _write_text(path, serialize_network(net), "network")
+    _write_text(path, _network_pieces(net), "network")
 
 
 def read_network(path) -> LtcNetwork:
@@ -257,7 +267,7 @@ def read_network(path) -> LtcNetwork:
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
-    _write_text(path, trajectory_to_csv(traj), "trajectory")
+    _write_text(path, [trajectory_to_csv(traj)], "trajectory")
 
 
 def read_trajectory(path) -> Trajectory:

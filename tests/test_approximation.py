@@ -1,10 +1,13 @@
 """Approximation: fits, Lipschitz estimates, augmented systems, pipeline."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 from scipy.special import expit
 from scipy.stats import qmc
@@ -40,7 +43,7 @@ from ltcsim import (
     realize_as_ltc,
     simulate,
 )
-from ltcsim.approx import _halton, _pairwise_distances
+from ltcsim.approx import _SLOPE_ROWS, _halton, _max_slope, _pairwise_distances
 from helpers import realized_network, rotation_field
 from test_solver import one_step, semi_implicit_step
 from test_verification import entry_bits, per_row_monitor
@@ -48,6 +51,54 @@ from test_verification import entry_bits, per_row_monitor
 # Calibrated offline: median sup_error over seeds 0..19 for the -x fit
 # below is 2.21e-5; threshold frozen at twice the median.
 NEG_X_FIT_THRESHOLD = 4.421e-5
+
+
+def full_matrix_slope(points, values):
+    """The grid estimate as it was first written: whole distance matrices,
+    summed axis by axis as ``cdist`` does."""
+    def distances(x):
+        sq = 0.0
+        for k in range(x.shape[1]):
+            diff = x[:, None, k] - x[None, :, k]
+            sq = sq + diff * diff
+        return np.sqrt(sq)
+    dx = distances(points)
+    dv = distances(values)
+    mask = dx > 0
+    return float(np.max(dv[mask] / dx[mask]))
+
+
+def slope_outcome(estimate, points, values):
+    """The result's bits ("nan" for any NaN), or the message of the error.
+    Squares that overflow and inf / inf are part of what is compared."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = estimate(points, values)
+    except ValueError as exc:
+        return str(exc)
+    return "nan" if math.isnan(value) else np.float64(value).view(np.int64)
+
+
+# 1e+-160 and beyond: squared differences overflow to inf or underflow to 0
+SCALES = [1.0, 1e-150, 1e150, 1e-160, 1e160, 1e-300, 1e300]
+
+
+@st.composite
+def slope_cases(draw):
+    """Points and field values with dims 1-3, n from 2 to 400 (and around
+    one row block), per-axis scales at 1e+-150 and beyond, and repeated rows."""
+    n = draw(st.integers(2, 400) | st.sampled_from(
+        [_SLOPE_ROWS - 1, _SLOPE_ROWS, _SLOPE_ROWS + 1, 2 * _SLOPE_ROWS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = []
+    for _ in range(2):
+        dim = draw(st.integers(1, 3))
+        scales = draw(st.lists(st.sampled_from(SCALES), min_size=dim, max_size=dim))
+        x = rng.normal(size=(n, dim)) * scales
+        repeats = draw(st.integers(0, n))  # rows copied over others: dx = 0, dv = 0
+        x[rng.integers(n, size=repeats)] = x[rng.integers(n, size=repeats)]
+        arrays.append(x)
+    return tuple(arrays)
 
 
 def neg_field():
@@ -159,8 +210,44 @@ class TestLipschitz:
             for _ in range(10):
                 points = rng.normal(size=(150, d)) * 10.0 ** rng.integers(-6, 7)
                 points[rng.integers(150)] = points[0]  # a zero distance off the diagonal
-                ours = _pairwise_distances(points)
+                ours = _pairwise_distances(points, points)
                 assert (ours.view(np.int64) == cdist(points, points).view(np.int64)).all()
+                # row blocks against the columns from their first row on
+                for s, e in ((0, 64), (64, 128), (128, 150), (149, 150), (10, 11)):
+                    a, b = points[s:e], points[s:]
+                    block = _pairwise_distances(a, b)
+                    assert block.shape == (e - s, 150 - s)
+                    assert (block.view(np.int64) == cdist(a, b).view(np.int64)).all()
+
+    @given(slope_cases())
+    def test_blocked_slope_equals_full_matrix(self, case):
+        points, values = case
+        assert slope_outcome(_max_slope, points, values) == slope_outcome(
+            full_matrix_slope, points, values)
+
+    def test_blocked_slope_visits_every_pair(self):
+        # point j sits 0.25 from point i and at least 0.75 from all others;
+        # only j's value is nonzero, so only the pair (i, j) gives slope 4
+        n = 2 * _SLOPE_ROWS + 1
+        values = np.zeros((n, 1))
+        for i in range(n):
+            for j in range(i + 1, n):
+                points = np.arange(n, dtype=float)[:, None]
+                points[j] = i + 0.25
+                values[j] = 1.0
+                assert _max_slope(points, values) == 4.0, (i, j)
+                values[j] = 0.0
+
+    def test_grid_peak_memory(self):
+        # the full 1089 x 1089 matrices took 37 MiB; a row block takes < 1 MiB
+        fld = rotation_field()
+        tracemalloc.start()
+        try:
+            estimate_lipschitz(fld)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_degenerate_domain(self):
         fld = VectorField(2, lambda x: x, [[-1.0, 1.0], [0.5, 0.5]])

@@ -126,6 +126,17 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("ERROR parse:")
 
+    @pytest.mark.parametrize("kind", ["network", "trajectory"])
+    def test_file_not_utf8_is_parse_error(self, capsys, net_file, tmp_path, kind):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"t,v0\n0,\xff\n")
+        argv = (["bounds", "--net", str(bad)] if kind == "network"
+                else ["verify", "--net", net_file, "--traj", str(bad)])
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"ERROR parse: cannot read {kind} file {bad}: ")
+        assert "can't decode byte 0xff" in err
+
     def test_unwritable_simulate_out(self, capsys, net_file, tmp_path):
         # a missing directory, and a path that is a directory
         for out in (tmp_path / "missing" / "o.csv", tmp_path):

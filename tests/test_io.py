@@ -2,6 +2,8 @@
 
 import json
 import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +15,11 @@ from ltcsim import (
     Method,
     SolverConfig,
     Trajectory,
+    assemble_augmented_system,
+    fit_feedforward,
     parse_network,
     random_network,
+    realize_as_ltc,
     serialize_network,
     simulate,
     trajectory_from_csv,
@@ -22,8 +27,8 @@ from ltcsim import (
     write_network,
     write_trajectory,
 )
-from ltcsim.io import _write_text
-from helpers import networks, two_neuron_chain
+from ltcsim.io import _ITEMS, _network_pieces, _write_text
+from helpers import networks, realized_network, rotation_field, two_neuron_chain
 
 def reference_document(net):
     """The document as the JSON encoder writes it from the item views."""
@@ -241,7 +246,7 @@ class TestWriteText:
     fresh mtime."""
 
     TRAJ = Trajectory(np.array([0.0, 0.5]), np.array([[1.0, -2.0], [0.25, 3.0]]))
-    BIG = "x" * ((1 << 20) + 4096)  # more than one 1 MB compare chunk
+    BIG = "x" * ((1 << 20) + 4096)
 
     def test_shorter_text_leaves_only_new_bytes(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -306,17 +311,16 @@ class TestWriteText:
         old = bytearray(self.BIG.encode())
         old[at] = ord("y")
         path.write_bytes(old)
-        _write_text(path, self.BIG, "report")
+        _write_text(path, [self.BIG], "report")
         assert path.read_text() == self.BIG
         assert "w" in opens[0]
 
     @pytest.mark.parametrize("size", [0, 100, 1 << 20, (1 << 20) + 4096])
     def test_old_file_extending_new_bytes_rewritten(self, tmp_path, size):
-        # every compare chunk matches when the new length is a whole number
-        # of chunks; only the length check sees the old tail
+        # every piece matches; only the check for EOF sees the old tail
         path = tmp_path / "big.txt"
         path.write_text("x" * size + "tail")
-        _write_text(path, "x" * size, "report")
+        _write_text(path, ["x" * size], "report")
         assert path.read_text() == "x" * size
 
     def test_refused_read_write_open_falls_back_to_w(self, tmp_path, opens):
@@ -342,3 +346,83 @@ class TestWriteText:
         write_trajectory(self.TRAJ, os.devnull)
         assert opens[0] == ["w", "w"]
         assert (tmp_path / "new.csv").read_text() == trajectory_to_csv(self.TRAJ)
+
+
+class TestStreamedNetwork:
+    """``write_network`` formats the document in pieces of ``_ITEMS`` list
+    items and compares an existing file with them piece by piece."""
+
+    NET = realized_network(n_features=70)  # 70 x 72 synapses: two pieces of them
+
+    def test_pieces_join_to_serialized_document(self):
+        pieces = list(_network_pieces(self.NET))
+        assert "".join(pieces) == serialize_network(self.NET) == reference_document(self.NET)
+        n = self.NET.n_chem
+        assert _ITEMS < n <= 2 * _ITEMS
+        assert [p.count('"src"') for p in pieces if '"src"' in p] == [_ITEMS, n - _ITEMS]
+
+    def boundary(self):
+        """Offset of the first byte of the second piece of synapses."""
+        pieces = list(_network_pieces(self.NET))
+        k = next(i for i, p in enumerate(pieces) if p.startswith(",\n    {"))
+        return len("".join(pieces[:k]))
+
+    @pytest.mark.parametrize("where", ["first", "boundary-1", "boundary", "last",
+                                       "shorter", "longer"])
+    def test_differing_file_rewritten(self, tmp_path, opens, where):
+        path = tmp_path / "net.json"
+        text = serialize_network(self.NET).encode()
+        old = bytearray(text)
+        if where == "shorter":
+            del old[-1]
+        elif where == "longer":
+            old += b"\n"
+        else:
+            at = {"first": 0, "last": -1, "boundary": self.boundary(),
+                  "boundary-1": self.boundary() - 1}[where]
+            old[at] = ord("#")
+        path.write_bytes(old)
+        inode = os.stat(path).st_ino
+        write_network(self.NET, path)
+        assert path.read_bytes() == text
+        assert opens[0] == ["r+b", "w"] and os.stat(path).st_ino == inode
+
+    def test_same_bytes_kept(self, tmp_path, opens):
+        path = tmp_path / "net.json"
+        write_network(self.NET, path)
+        os.utime(path, (0, 0))
+        before = os.stat(path)
+        opens[0].clear()
+        write_network(self.NET, path)
+        after = os.stat(path)
+        assert opens[0] == ["r+b"]
+        assert after.st_ino == before.st_ino and after.st_mtime > 0
+        assert path.read_text() == serialize_network(self.NET)
+
+    def test_devnull_and_fifo_take_w_path(self, tmp_path, opens):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_network(self.NET, fifo)
+        reader.join(30)
+        assert not reader.is_alive()
+        write_network(self.NET, os.devnull)
+        assert opens[0] == ["w", "w"]
+        assert got == [serialize_network(self.NET).encode()]
+
+    def test_peak_memory_on_realized_n256(self, tmp_path):
+        # the whole document is 9.5 MB; its str, list and bytes copies took 21.7 MiB
+        fit = fit_feedforward(rotation_field(), 256, n_samples=64)
+        net = realize_as_ltc(assemble_augmented_system(fit, 10.0, 1e-3))
+        path = tmp_path / "net.json"
+        for case in ("new file", "same bytes"):
+            tracemalloc.start()
+            try:
+                write_network(net, path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20, case
+        assert path.read_text() == serialize_network(net)
