@@ -413,7 +413,8 @@ class TestStreamedNetwork:
         assert got == [serialize_network(self.NET).encode()]
 
     def test_peak_memory_on_realized_n256(self, tmp_path):
-        # the whole document is 9.5 MB; its str, list and bytes copies took 21.7 MiB
+        # the document is 9.5 MB: as one str, with its item list and its
+        # bytes, it takes 21.7 MiB
         fit = fit_feedforward(rotation_field(), 256, n_samples=64)
         net = realize_as_ltc(assemble_augmented_system(fit, 10.0, 1e-3))
         path = tmp_path / "net.json"
