@@ -1,6 +1,6 @@
-"""Recursive-descent parser and evaluator for vector-field expressions.
+"""Parser, printer and compiler for vector-field expressions.
 
-Grammar (one expression per field coordinate, variables x1..xn):
+Grammar (one expression per field coordinate, variables x1..xn, ASCII):
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -12,12 +12,15 @@ Grammar (one expression per field coordinate, variables x1..xn):
 A leading sign is accepted at expression level so fields like ``-x1``
 parse; signs elsewhere need parentheses, e.g. ``3 - (-2)``.  Operators of
 equal precedence associate left.  Printing a parsed expression yields a
-string that parses back to the same tree.
+string that parses back to the same tree.  One walk of the tree (``_emit``)
+prints it either in this syntax or as Python source, which is compiled into
+one function per field.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,46 +36,27 @@ __all__ = [
 
 FUNCTIONS = ("sin", "cos", "exp", "tanh", "abs")
 
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_POW = 3
-_PREC_ATOM = 4
-
 
 class Expr:
     """Base class for expression tree nodes."""
 
-    precedence = _PREC_ATOM
-
-    def _wrap(self, child: "Expr", min_prec: int) -> str:
-        s = str(child)
-        return f"({s})" if child.precedence < min_prec else s
+    def __str__(self):
+        return _emit(self, False)[0]
 
 
 @dataclass(frozen=True)
 class Num(Expr):
     value: float
 
-    def __str__(self):
-        return repr(self.value)
-
 
 @dataclass(frozen=True)
 class Var(Expr):
     index: int  # 1-based, as written
 
-    def __str__(self):
-        return f"x{self.index}"
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
     child: Expr
-
-    precedence = _PREC_ADD
-
-    def __str__(self):
-        return "-" + self._wrap(self.child, _PREC_MUL)
 
 
 @dataclass(frozen=True)
@@ -81,34 +65,17 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    @property
-    def precedence(self):
-        return _PREC_ADD if self.op in "+-" else _PREC_MUL
-
-    def __str__(self):
-        p = self.precedence
-        # Left associative: right operand of equal precedence needs parens.
-        return f"{self._wrap(self.left, p)} {self.op} {self._wrap(self.right, p + 1)}"
-
 
 @dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
     exponent: int
 
-    precedence = _PREC_POW
-
-    def __str__(self):
-        return f"{self._wrap(self.base, _PREC_ATOM)}^{self.exponent}"
-
 
 @dataclass(frozen=True)
 class Call(Expr):
     func: str
     arg: Expr
-
-    def __str__(self):
-        return f"{self.func}({self.arg})"
 
 
 @dataclass(frozen=True)
@@ -118,51 +85,26 @@ class _Token:
     pos: int
 
 
+# ASCII only: str.isdigit and str.isalpha would also take '²' or '١'.
+_TOKEN = re.compile(
+    r"(?P<NUMBER>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[-+*/^])|(?P<LPAREN>\()|(?P<RPAREN>\))"
+    r"|(?P<SPACE>[ \t]+)"
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t":
-            i += 1
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("OP", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(_Token("LPAREN", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token("RPAREN", c, i))
-            i += 1
-        elif c.isdigit() or c == ".":
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if text[start:i] == ".":
-                raise ExprError(f"malformed number at column {start}", start)
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            tokens.append(_Token("NUMBER", text[start:i], start))
-        elif c.isalpha() or c == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("IDENT", text[start:i], start))
-        else:
-            raise ExprError(f"unexpected character {c!r} at column {i}", i)
-    tokens.append(_Token("EOF", "", n))
+    while i < len(text):
+        match = _TOKEN.match(text, i)
+        if match is None:
+            what = "malformed number" if text[i] == "." else f"unexpected character {text[i]!r}"
+            raise ExprError(f"{what} at column {i}", i)
+        if match.lastgroup != "SPACE":
+            tokens.append(_Token(match.lastgroup, match.group(), i))
+        i = match.end()
+    tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
 
@@ -183,8 +125,17 @@ class _Parser:
     def fail(self, message: str, tok: _Token):
         raise ExprError(f"{message} at column {tok.pos}", tok.pos)
 
+    def integer(self, tok: _Token, digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # Python converts at most 4300 digits
+            self.fail("integer too long", tok)
+
     def parse(self) -> Expr:
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:
+            self.fail("expression nested too deeply", self.peek())
         tok = self.peek()
         if tok.kind != "EOF":
             self.fail(f"unexpected {tok.text!r}", tok)
@@ -218,7 +169,7 @@ class _Parser:
             if tok.kind != "NUMBER" or not tok.text.isdigit():
                 self.fail("exponent must be an unsigned integer", tok)
             self.advance()
-            node = Pow(node, int(tok.text))
+            node = Pow(node, self.integer(tok, tok.text))
         return node
 
     def base(self) -> Expr:
@@ -234,7 +185,7 @@ class _Parser:
         if tok.kind == "IDENT":
             name = tok.text
             if name.startswith("x") and name[1:].isdigit():
-                index = int(name[1:])
+                index = self.integer(tok, name[1:])
                 if index < 1:
                     self.fail("variable indices start at x1", tok)
                 self.max_index = max(self.max_index, index)
@@ -267,52 +218,73 @@ def _safe_exp(v: float) -> float:
         return math.inf
 
 
-_FUNC_IMPL = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": _safe_exp,
-    "tanh": math.tanh,
-    "abs": abs,
-}
+def _zero():
+    raise ZeroDivisionError("division by zero in field expression")
+
+
+# The only names the compiled source can see; ``exp`` saturates to inf.
+_NAMES = {"__builtins__": {}, "sin": math.sin, "cos": math.cos, "exp": _safe_exp,
+          "tanh": math.tanh, "abs": abs, "float": float, "_zero": _zero, "_array": np.array}
+
+# A child is printed in parentheses when its precedence is below what its
+# place needs.  In Python a division is a conditional expression, which
+# binds loosest of all.
+_PREC_DIV, _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = range(5)
+
+
+def _paren(emitted, min_prec: int) -> str:
+    text, prec = emitted
+    return f"({text})" if prec < min_prec else text
+
+
+def _emit(node: Expr, py: bool, depth: int = 0) -> tuple[str, int]:
+    """Print ``node`` as (text, precedence) in ltcsim syntax, or as Python
+    source over ``x`` and ``_NAMES`` when ``py`` is true.
+
+    The Python text evaluates like the tree: operands left to right, except
+    that a denominator is evaluated and tested for zero before its
+    numerator.  ``depth`` counts enclosing divisions and names the local
+    that holds each denominator, so nested divisions never share one.
+    """
+    if isinstance(node, Num):
+        v = float(node.value)
+        text = ("-1e999" if v < 0 else "1e999") if math.isinf(v) else repr(v)
+        return text, _PREC_ADD if text[0] == "-" else _PREC_ATOM
+    if isinstance(node, Var):
+        return (f"float(x[{node.index - 1}])" if py else f"x{node.index}"), _PREC_ATOM
+    if isinstance(node, Neg):
+        # Python's unary minus binds tighter than '*': -0.0*inf is not -(0.0*inf).
+        child = _paren(_emit(node.child, py, depth), _PREC_POW if py else _PREC_MUL)
+        return "-" + child, _PREC_ADD
+    if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/"):
+        if py and node.op == "/":
+            den = _emit(node.right, py, depth + 1)[0]
+            num = _paren(_emit(node.left, py, depth + 1), _PREC_MUL)
+            return f"_zero() if (_d{depth} := {den}) == 0.0 else {num} / _d{depth}", _PREC_DIV
+        p = _PREC_ADD if node.op in "+-" else _PREC_MUL
+        # Left associative: a right operand of equal precedence needs parens.
+        left = _paren(_emit(node.left, py, depth), p)
+        return f"{left} {node.op} {_paren(_emit(node.right, py, depth), p + 1)}", p
+    if isinstance(node, Pow):
+        base = _paren(_emit(node.base, py, depth), _PREC_ATOM)
+        return f"{base}{'**' if py else '^'}{node.exponent:d}", _PREC_POW
+    if isinstance(node, Call) and node.func in FUNCTIONS:
+        return f"{node.func}({_emit(node.arg, py, depth)[0]})", _PREC_ATOM
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _compile(trees, template: str):
+    """``lambda x: template`` with the trees' Python text filled in."""
+    try:
+        body = template.format(", ".join(_emit(t, True)[0] for t in trees))
+        return eval(compile("lambda x: " + body, "<field>", "eval"), _NAMES)
+    except (RecursionError, SyntaxError):  # Python allows 200 nested parentheses
+        raise ExprError("expression nested too deeply to compile") from None
 
 
 def compile_expression(node: Expr):
     """Build a fast callable(x) -> float from an expression tree."""
-    if isinstance(node, Num):
-        v = node.value
-        return lambda x: v
-    if isinstance(node, Var):
-        i = node.index - 1
-        return lambda x: float(x[i])
-    if isinstance(node, Neg):
-        child = compile_expression(node.child)
-        return lambda x: -child(x)
-    if isinstance(node, BinOp):
-        left = compile_expression(node.left)
-        right = compile_expression(node.right)
-        if node.op == "+":
-            return lambda x: left(x) + right(x)
-        if node.op == "-":
-            return lambda x: left(x) - right(x)
-        if node.op == "*":
-            return lambda x: left(x) * right(x)
-
-        def divide(x):
-            den = right(x)
-            if den == 0.0:
-                raise ZeroDivisionError("division by zero in field expression")
-            return left(x) / den
-
-        return divide
-    if isinstance(node, Pow):
-        base = compile_expression(node.base)
-        n = node.exponent
-        return lambda x: base(x) ** n
-    if isinstance(node, Call):
-        fn = _FUNC_IMPL[node.func]
-        arg = compile_expression(node.arg)
-        return lambda x: fn(arg(x))
-    raise TypeError(f"unknown node {node!r}")
+    return _compile([node], "{}")
 
 
 def parse_field(exprs, domain):
@@ -336,9 +308,4 @@ def parse_field(exprs, domain):
                 f"expression {k} references x{top} but the field has "
                 f"dimension {dim}"
             )
-    compiled = [compile_expression(t) for t in trees]
-
-    def fn(x):
-        return np.array([c(x) for c in compiled])
-
-    return VectorField(dim=dim, fn=fn, domain=domain)
+    return VectorField(dim=dim, fn=_compile(trees, "_array([{}])"), domain=domain)

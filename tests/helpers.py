@@ -1,5 +1,6 @@
 """Shared network builders for the test suite."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -133,3 +134,22 @@ def networks(draw, bound=None, shared=False, block=False):
         gaps = draw(st.lists(st.builds(lambda ab, w: GapJunction(*ab, w),
                                        pairs, non_negative), max_size=5))
     return LtcNetwork(neurons, chem, gaps, n_output)
+
+
+def expr_trees(max_leaves=12):
+    """Random expression trees in the parser's normal form.
+
+    Numbers are non-negative (a sign is a ``Neg`` node) and include 0.0,
+    1e+-300 and inf; variables are x1..x3; every function appears, and
+    exponents run from 0 to 7.  Printing such a tree parses back to it.
+    """
+    from ltcsim.expr import FUNCTIONS, BinOp, Call, Neg, Num, Pow, Var
+
+    numbers = st.floats(min_value=0.0) | st.sampled_from([0.0, 1e300, 1e-300, math.inf])
+    leaves = st.builds(Num, numbers) | st.builds(Var, st.integers(1, 3))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Pow, sub, st.integers(0, 7)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), sub),
+    ), max_leaves=max_leaves)

@@ -256,6 +256,19 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("ERROR parse:")
 
+    @pytest.mark.parametrize("field", [
+        "(" * 260 + "x2" + ")" * 260 + ";-x1",  # deeper than the parser recurses
+        "+".join(["x2"] * 1200) + ";-x1",  # deeper than the emitter recurses
+        "x²;-x1",  # a superscript two is not a digit
+        "x2^" + "1" * 5000 + ";-x1",  # more digits than int() takes
+    ], ids=["parentheses", "sum", "superscript", "long-exponent"])
+    def test_field_parse_error_exits_2(self, capsys, field):
+        code, _, err = run(capsys, "approximate", "--field", field,
+                           "--domain", "-1:1,-1:1", "--x0", "1,0", "--horizon", "1")
+        assert code == 2
+        assert err.startswith("ERROR parse:")
+        assert "Traceback" not in err
+
     def test_x0_outside_domain_numeric(self, capsys):
         code, _, err = run(capsys, "approximate", "--field", "x2;-x1",
                            "--domain", "-1:1,-1:1", "--x0", "5,0",
