@@ -43,8 +43,27 @@ __all__ = [
 ]
 
 
-def expit(x):  # scipy.special's ufunc, imported on first call (~0.1 s) and bound here
-    global expit
+_EXP_MAX = 709.782712893384  # the largest double whose exp is finite
+# Sigmoid work (values, plus 32 per call for its fixed cost) done with math.exp
+# before scipy.special's ~0.25 s import pays: about an eighth of that import.
+# Both give the same bits; numpy's own exp differs from them in the last bit.
+_LIBM_BUDGET = 2**18
+_libm_spent = 0
+
+
+def _expit_libm(x) -> np.ndarray:
+    """``scipy.special.expit`` bit for bit, through the C library's exp."""
+    x = np.asarray(x, dtype=float)
+    return np.array([0.0 if t < -_EXP_MAX else 1.0 / (1.0 + math.exp(-t))
+                     for t in x.ravel().tolist()]).reshape(x.shape)
+
+
+def expit(x):
+    """Logistic sigmoid: ``_expit_libm`` within budget, then scipy's, bound here."""
+    global expit, _libm_spent
+    _libm_spent += np.size(x) + 32
+    if _libm_spent <= _LIBM_BUDGET:
+        return _expit_libm(x)
     from scipy.special import expit
     return expit(x)
 

@@ -61,6 +61,8 @@ class SolverConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end must be >= dt, got {self.t_end} < {self.dt}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt must be finite, got {self.t_end} / {self.dt}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 

@@ -27,7 +27,7 @@ from ltcsim import (
 )
 from ltcsim.cli import cli_dispatch
 from ltcsim.io import _fmt
-from helpers import gap_ring, leak_neuron, rotation_field, two_neuron_chain
+from helpers import gap_ring, leak_neuron, realized_network, rotation_field, two_neuron_chain
 
 
 @pytest.fixture
@@ -222,7 +222,7 @@ class TestErrorPaths:
         assert err.startswith("ERROR usage:")
 
     def test_bad_dt_value(self, capsys, net_file, tmp_path):
-        for dt, t_end in (("-1", "1"), ("nan", "1"), ("0.1", "inf")):
+        for dt, t_end in (("-1", "1"), ("nan", "1"), ("0.1", "inf"), ("1e-300", "1e300")):
             code, _, err = run(capsys, "simulate", "--net", net_file,
                                "--init", "0.0", "--dt", dt, "--t-end", t_end,
                                "--out", str(tmp_path / "o.csv"))
@@ -234,6 +234,11 @@ class TestErrorPaths:
             code, _, err = run(capsys, *approx, *flags)
             assert code == 1
             assert err.startswith("ERROR usage:")
+        for domain in ("1:0,0:1", "0:1,0:inf", "0:1,nan:1"):
+            code, _, err = run(capsys, "approximate", "--field", "x2;-x1", "--domain", domain,
+                               "--x0", "0.5,0.5", "--horizon", "1")
+            assert code == 1
+            assert err.startswith("ERROR usage: --domain")
         traj = tmp_path / "t.csv"
         traj.write_text("t,v0\n0,0.25\n")
         for tol in ("nan", "-5", "inf"):
@@ -275,6 +280,13 @@ class TestErrorPaths:
                            "--horizon", "1", "--features", "4")
         assert code == 3
         assert err.startswith("ERROR numeric:")
+
+    def test_horizon_step_count_overflow_numeric(self, capsys):
+        # a finite horizon over the reference step is inf steps: named, not int(inf)
+        code, _, err = run(capsys, "approximate", "--field", "x2;-x1", "--domain", "-1:1,-1:1",
+                           "--x0", "1,0", "--horizon", "1e308", "--features", "4")
+        assert code == 3
+        assert err.startswith("ERROR numeric: t_end / dt must be finite, got 1e+308 / ")
 
     def test_divergence_numeric(self, capsys, net_file, tmp_path):
         code, _, err = run(capsys, "simulate", "--net", net_file,
@@ -466,31 +478,85 @@ def test_import_skips_scipy_stats_and_spatial():
     assert out.stdout.strip() == "[]"
 
 
-def test_scipy_loaded_only_where_called(tmp_path):
-    # import ltcsim and bounds evaluate no sigmoid and solve nothing; simulate
-    # and verify need scipy.special's expit but not scipy.linalg
-    net, traj = str(tmp_path / "net.json"), str(tmp_path / "traj.csv")
+def subprocess_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
+@pytest.fixture(scope="module")
+def realized_64(tmp_path_factory):
+    """A realized N = 64 network file, and argv for simulate (semi-implicit and
+    RK4, 200 steps each, as cli-files simulates) and verify of its CSV."""
+    path = tmp_path_factory.mktemp("realized")
+    net, traj = str(path / "net.json"), str(path / "traj.csv")
+    (path / "net.json").write_text(serialize_network(realized_network(62)))
+    init = ",".join(repr(v) for v in np.linspace(-0.5, 0.5, 64).tolist())
+    simulate = ["simulate", "--net", net, "--init", init, "--dt", "0.001",
+                "--t-end", "0.2", "--out", traj]
+    return {"semi-implicit": [*simulate, "--method", "semi-implicit"],
+            "rk4": [*simulate, "--method", "rk4"],
+            "verify": ["verify", "--net", net, "--traj", traj]}, path / "traj.csv"
+
+
+def test_scipy_loaded_only_where_called(tmp_path, realized_64):
+    # import ltcsim, bounds, simulate and verify stay within the math.exp
+    # sigmoid's budget, so they load no scipy module
+    net = str(tmp_path / "net.json")
     with open(net, "w") as fh:
         fh.write(serialize_network(two_neuron_chain()))
+    chain = [["bounds", "--net", net],
+             ["simulate", "--net", net, "--init", "0.5,0.3", "--dt", "0.01",
+              "--t-end", "0.1", "--out", str(tmp_path / "traj.csv")],
+             ["verify", "--net", net, "--traj", str(tmp_path / "traj.csv")]]
+    argv, _ = realized_64
+    realized = [["bounds", "--net", argv["verify"][2]], argv["semi-implicit"], argv["rk4"],
+                argv["verify"]]
     code = f"""
 import contextlib, io, json, sys
 import ltcsim
 from ltcsim.cli import cli_dispatch
-seen = []
-for argv in ([], ["bounds", "--net", {net!r}],
-             ["simulate", "--net", {net!r}, "--init", "0.5,0.3", "--dt", "0.01",
-              "--t-end", "0.1", "--out", {traj!r}],
-             ["verify", "--net", {net!r}, "--traj", {traj!r}]):
+seen = [sorted(m for m in sys.modules if m.startswith("scipy"))]
+for argv in {chain + realized!r}:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert not argv or cli_dispatch(argv) == 0
+        assert cli_dispatch(argv) == 0
     seen.append(sorted(m for m in sys.modules if m.startswith("scipy")))
 print(json.dumps(seen))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    after_import, after_bounds, after_simulate, after_verify = json.loads(out.stdout)
-    assert after_import == [] and after_bounds == []
-    assert "scipy.special" in after_simulate
-    for loaded in (after_simulate, after_verify):
-        assert not [m for m in loaded if m.startswith("scipy.linalg")]
+                         text=True, check=True, env=subprocess_env())
+    assert json.loads(out.stdout) == [[]] * 8
+
+
+def test_sigmoid_budget_spent_imports_scipy():
+    code = """
+import sys
+import numpy as np
+import ltcsim.model as model
+assert not [m for m in sys.modules if m.startswith("scipy")]
+model.expit(np.zeros(2**18))
+import scipy.special
+print(model.expit is scipy.special.expit)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=subprocess_env())
+    assert out.stdout.strip() == "True"
+
+
+def test_sigmoid_paths_write_same_files(capsys, realized_64):
+    # fresh processes stay on the math.exp sigmoid; this one has spent its
+    # budget, so it runs scipy's expit
+    import scipy.special
+
+    from ltcsim import model
+
+    model.expit(np.zeros(2**18))
+    assert model.expit is scipy.special.expit
+    argv, traj = realized_64
+    for method in ("semi-implicit", "rk4"):
+        fresh = [subprocess.run([sys.executable, "-m", "ltcsim", *args], capture_output=True,
+                                text=True, check=True, env=subprocess_env()).stdout
+                 for args in (argv[method], argv["verify"])]
+        csv = traj.read_bytes()
+        traj.unlink()
+        assert run(capsys, *argv[method]) == (0, fresh[0], "")
+        assert traj.read_bytes() == csv
+        assert run(capsys, *argv["verify"]) == (0, fresh[1], "")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from ltcsim import (
     ChemicalSynapse,
@@ -22,6 +23,7 @@ from ltcsim import (
     random_network,
     tau_bounds,
 )
+from ltcsim.model import _expit_libm
 from helpers import networks, two_neuron_chain
 
 
@@ -37,7 +39,31 @@ def float_bits(a):
     return np.where(np.isnan(a), np.nan, a).view(np.int64)
 
 
+# the sigmoid's edges: signed zeros, infinities, NaN, subnormals, where exp
+# underflows (745.2) and the largest argument whose exp is finite
+_EXP_MAX = 709.782712893384
+SIGMOID_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                 1e-310, -1e-310, 745.2, -745.2]
+SIGMOID_EDGES += [sign * math.nextafter(_EXP_MAX, to) for sign in (1.0, -1.0)
+                  for to in (0.0, _EXP_MAX, math.inf)]
+sigmoid_args = (st.sampled_from(SIGMOID_EDGES) | st.floats(-750.0, 750.0)
+                | st.floats(allow_nan=True, allow_infinity=True))
+
+
 class TestSigmoid:
+    @given(st.data())
+    def test_libm_path_equals_scipy(self, data):
+        shape = data.draw(st.just(()) | st.tuples(st.integers(0, 20))
+                          | st.tuples(st.integers(1, 4), st.integers(1, 6), st.just(1)))
+        values = data.draw(st.lists(sigmoid_args, min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))
+        x = np.array(values, dtype=float).reshape(shape)
+        got = _expit_libm(x)
+        with np.errstate(over="ignore"):
+            want = np.asarray(expit(x))
+        assert got.shape == shape and got.dtype == np.float64
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+
     def test_zero_argument_gives_half(self):
         for gamma in (0.5, 1.0, 3.0):
             for mu in (-2.0, 0.0, 1.5):

@@ -335,6 +335,9 @@ class TestSimulate:
             SolverConfig(Method.RK4, 0.1, 1.0, 0)
         with pytest.raises(ValueError, match="heun"):
             SolverConfig("heun", 0.1, 1.0, 1)
+        # finite dt and t_end whose step count overflows
+        with pytest.raises(ValueError, match=r"t_end / dt must be finite, got 1e\+300 / 1e-300"):
+            SolverConfig(Method.RK4, 1e-300, 1e300, 1)
         # a method given by name runs that method, bit for bit
         rng = np.random.default_rng(12)
         net = random_network(rng)
