@@ -10,9 +10,11 @@ import subprocess
 import sys
 import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -25,6 +27,7 @@ from ltcsim import (
     serialize_network,
     trajectory_to_csv,
 )
+from ltcsim import model
 from ltcsim.cli import cli_dispatch
 from ltcsim.io import _fmt
 from helpers import gap_ring, leak_neuron, realized_network, rotation_field, two_neuron_chain
@@ -468,33 +471,33 @@ class TestApproximate:
         assert err.startswith("ERROR usage:")
 
 
+def subprocess_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
 def test_import_skips_scipy_stats_and_spatial():
     code = ("import sys, ltcsim; "
             "print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.stats', 'scipy.spatial'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+                         text=True, check=True, env=subprocess_env())
     assert out.stdout.strip() == "[]"
-
-
-def subprocess_env():
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
 
 @pytest.fixture(scope="module")
 def realized_64(tmp_path_factory):
-    """A realized N = 64 network file, and argv for simulate (semi-implicit and
-    RK4, 200 steps each, as cli-files simulates) and verify of its CSV."""
+    """argv for bounds, simulate (semi-implicit and RK4, 200 steps each, as
+    cli-files simulates) and verify of a realized N = 64 network file."""
     path = tmp_path_factory.mktemp("realized")
     net, traj = str(path / "net.json"), str(path / "traj.csv")
     (path / "net.json").write_text(serialize_network(realized_network(62)))
     init = ",".join(repr(v) for v in np.linspace(-0.5, 0.5, 64).tolist())
     simulate = ["simulate", "--net", net, "--init", init, "--dt", "0.001",
                 "--t-end", "0.2", "--out", traj]
-    return {"semi-implicit": [*simulate, "--method", "semi-implicit"],
+    return {"bounds": ["bounds", "--net", net],
+            "semi-implicit": [*simulate, "--method", "semi-implicit"],
             "rk4": [*simulate, "--method", "rk4"],
-            "verify": ["verify", "--net", net, "--traj", traj]}, path / "traj.csv"
+            "verify": ["verify", "--net", net, "--traj", traj]}
 
 
 def test_scipy_loaded_only_where_called(tmp_path, realized_64):
@@ -507,9 +510,7 @@ def test_scipy_loaded_only_where_called(tmp_path, realized_64):
              ["simulate", "--net", net, "--init", "0.5,0.3", "--dt", "0.01",
               "--t-end", "0.1", "--out", str(tmp_path / "traj.csv")],
              ["verify", "--net", net, "--traj", str(tmp_path / "traj.csv")]]
-    argv, _ = realized_64
-    realized = [["bounds", "--net", argv["verify"][2]], argv["semi-implicit"], argv["rk4"],
-                argv["verify"]]
+    realized = [realized_64[k] for k in ("bounds", "semi-implicit", "rk4", "verify")]
     code = f"""
 import contextlib, io, json, sys
 import ltcsim
@@ -544,13 +545,9 @@ print(model.expit is scipy.special.expit)
 def test_sigmoid_paths_write_same_files(capsys, realized_64):
     # fresh processes stay on the math.exp sigmoid; this one has spent its
     # budget, so it runs scipy's expit
-    import scipy.special
-
-    from ltcsim import model
-
     model.expit(np.zeros(2**18))
     assert model.expit is scipy.special.expit
-    argv, traj = realized_64
+    argv, traj = realized_64, Path(realized_64["verify"][-1])
     for method in ("semi-implicit", "rk4"):
         fresh = [subprocess.run([sys.executable, "-m", "ltcsim", *args], capture_output=True,
                                 text=True, check=True, env=subprocess_env()).stdout
