@@ -67,8 +67,8 @@ def _parse_domain(text: str) -> list[list[float]]:
             lo, hi = float(bits[0]), float(bits[1])
         except ValueError:
             raise _UsageError(f"--domain has a non-numeric bound in {part!r}")
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise _UsageError(f"--domain bounds must be finite with lo <= hi, got {part!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise _UsageError(f"--domain bounds must be finite with lo < hi, got {part!r}")
         rows.append([lo, hi])
     return rows
 

@@ -51,11 +51,16 @@ _LIBM_BUDGET = 2**18
 _libm_spent = 0
 
 
+def _sigmoid(t: float) -> float:
+    """``scipy.special.expit`` of one float bit for bit, through the C library's
+    exp; 0.0 where math.exp(-t) would overflow and raise, NaN for NaN."""
+    return 0.0 if t < -_EXP_MAX else 1.0 / (1.0 + math.exp(-t))
+
+
 def _expit_libm(x) -> np.ndarray:
     """``scipy.special.expit`` bit for bit, through the C library's exp."""
     x = np.asarray(x, dtype=float)
-    return np.array([0.0 if t < -_EXP_MAX else 1.0 / (1.0 + math.exp(-t))
-                     for t in x.ravel().tolist()]).reshape(x.shape)
+    return np.array(list(map(_sigmoid, x.ravel().tolist()))).reshape(x.shape)
 
 
 def expit(x):
@@ -446,6 +451,57 @@ def network_derivative(state, net: LtcNetwork) -> np.ndarray:
     gap = None if net._gw2 is None else net._gw2 * (u[net._gother] - u[net._gself])
     return _inflow(net, net._g * (net._vleak - u),
                    wsig * (net._aerev - u[net._adst]), gap) / net._cm
+
+
+def _scalar_steps(net: LtcNetwork):
+    """``network_derivative`` and the solver's semi-implicit step of a
+    non-block network, as loops over lists of Python floats.
+
+    Each does the same IEEE operations in the same order as the array form:
+    one ``_sigmoid`` per synapse, each neuron's terms summed in synapse order
+    from +0.0 as ``_inflow``'s bincount does, then its junction a-sides and
+    b-sides, added only where the network has junctions.  For a few terms
+    this beats numpy's fixed cost per call; the lists are built per run.
+    """
+    size, sigmoid = net.size, _sigmoid
+    cm, g, vleak = net._cm.tolist(), net._g.tolist(), net._vleak.tolist()
+    syn = list(zip(*(a.tolist() for a in (net._src, net._dst, net._w, net._gamma,
+                                          net._mu, net._erev))))
+    gaps = list(zip(net._gself.tolist(), net._gother.tolist(),
+                    [] if net._gw2 is None else net._gw2.tolist()))
+    gvleak = [a * b for a, b in zip(g, vleak)]
+    gap_load = [0.0] * size
+    for i, _, w in gaps:
+        gap_load[i] += w
+
+    def derivative(u):
+        acc = [0.0] * size
+        for s, d, w, gamma, mu, e in syn:
+            acc[d] += w * sigmoid(gamma * (u[s] + mu)) * (e - u[d])
+        if not gaps:
+            return [(a * (b - x) + c) / m for a, b, m, x, c in zip(g, vleak, cm, u, acc)]
+        gap = [0.0] * size
+        for i, j, w in gaps:
+            gap[i] += w * (u[j] - u[i])
+        return [(a * (b - x) + c + q) / m
+                for a, b, m, x, c, q in zip(g, vleak, cm, u, acc, gap)]
+
+    def semi_implicit(u, dt):
+        num, den = [0.0] * size, [0.0] * size
+        for s, d, w, gamma, mu, e in syn:
+            wsig = w * sigmoid(gamma * (u[s] + mu))
+            num[d] += wsig * e
+            den[d] += wsig
+        if not gaps:
+            return [(x + dt * ((a + n) / m)) / (1.0 + dt * ((b + d) / m))
+                    for a, b, m, x, n, d in zip(gvleak, g, cm, u, num, den)]
+        gap = [0.0] * size
+        for i, j, w in gaps:
+            gap[i] += w * u[j]
+        return [(x + dt * ((a + n + q) / m)) / (1.0 + dt * ((b + d + r) / m))
+                for a, b, m, x, n, d, q, r in zip(gvleak, g, cm, u, num, den, gap, gap_load)]
+
+    return derivative, semi_implicit
 
 
 def effective_time_constant(i: int, state, net: LtcNetwork) -> float:

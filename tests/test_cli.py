@@ -225,7 +225,8 @@ class TestErrorPaths:
         assert err.startswith("ERROR usage:")
 
     def test_bad_dt_value(self, capsys, net_file, tmp_path):
-        for dt, t_end in (("-1", "1"), ("nan", "1"), ("0.1", "inf"), ("1e-300", "1e300")):
+        for dt, t_end in (("-1", "1"), ("nan", "1"), ("0.1", "inf"), ("1e-300", "1e300"),
+                          ("1e-12", "1e4")):
             code, _, err = run(capsys, "simulate", "--net", net_file,
                                "--init", "0.0", "--dt", dt, "--t-end", t_end,
                                "--out", str(tmp_path / "o.csv"))
@@ -237,7 +238,7 @@ class TestErrorPaths:
             code, _, err = run(capsys, *approx, *flags)
             assert code == 1
             assert err.startswith("ERROR usage:")
-        for domain in ("1:0,0:1", "0:1,0:inf", "0:1,nan:1"):
+        for domain in ("1:0,0:1", "1:1,0:1", "0:1,0:inf", "0:1,nan:1"):
             code, _, err = run(capsys, "approximate", "--field", "x2;-x1", "--domain", domain,
                                "--x0", "0.5,0.5", "--horizon", "1")
             assert code == 1
@@ -290,6 +291,14 @@ class TestErrorPaths:
                            "--x0", "1,0", "--horizon", "1e308", "--features", "4")
         assert code == 3
         assert err.startswith("ERROR numeric: t_end / dt must be finite, got 1e+308 / ")
+
+    def test_horizon_step_count_over_bound_numeric(self, capsys):
+        # a finite step count no run could finish is refused before any stage runs
+        code, _, err = run(capsys, "approximate", "--field", "x2;-x1", "--domain", "-1:1,-1:1",
+                           "--x0", "0.5,0", "--horizon", "1e300", "--features", "4")
+        assert code == 3
+        assert err.startswith("ERROR numeric: t_end / dt must be at most 2**50 steps, "
+                              "got 1e+300 / ")
 
     def test_divergence_numeric(self, capsys, net_file, tmp_path):
         code, _, err = run(capsys, "simulate", "--net", net_file,

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import ltcsim.solver
 from ltcsim import (
     ChemicalSynapse,
     DimensionMismatchError,
+    GapJunction,
     IntegrationDivergedError,
     LtcNetwork,
     Method,
@@ -30,6 +32,7 @@ from helpers import (
     gap_ring,
     leak_neuron,
     networks,
+    realized_network,
     two_neuron_chain,
 )
 
@@ -338,6 +341,9 @@ class TestSimulate:
         # finite dt and t_end whose step count overflows
         with pytest.raises(ValueError, match=r"t_end / dt must be finite, got 1e\+300 / 1e-300"):
             SolverConfig(Method.RK4, 1e-300, 1e300, 1)
+        with pytest.raises(ValueError, match=r"at most 2\*\*50 steps, got 10000\.0 / 1e-12"):
+            SolverConfig(Method.RK4, 1e-12, 1e4, 1)
+        assert SolverConfig(Method.EULER, 1.0, 2.0**50).t_end == 2.0**50
         # a method given by name runs that method, bit for bit
         rng = np.random.default_rng(12)
         net = random_network(rng)
@@ -347,3 +353,89 @@ class TestSimulate:
             by_enum = simulate(net, u0, SolverConfig(method, 0.1, 0.5))
             assert SolverConfig(method.value, 0.1, 0.5).method is method
             assert (by_name.states == by_enum.states).all()
+
+
+def outcome(net, u0, config):
+    """What simulate gives: (None, trajectory), or on divergence the error's
+    text and its partial trajectory."""
+    try:
+        return None, simulate(net, u0, config)
+    except IntegrationDivergedError as exc:
+        return str(exc), exc.trajectory
+
+
+def derivative_calls(monkeypatch, net) -> int:
+    """Calls of the array derivative in a three-step Euler run of ``net``."""
+    calls = []
+    derivative = ltcsim.solver.network_derivative
+
+    def counted(u, n):
+        calls.append(1)
+        return derivative(u, n)
+
+    monkeypatch.setattr(ltcsim.solver, "network_derivative", counted)
+    simulate(net, np.full(net.size, 0.1), SolverConfig(Method.EULER, 0.1, 0.3))
+    return len(calls)
+
+
+class TestScalarPath:
+    """Small networks step on lists of floats with the array path's bits."""
+
+    @given(networks(shared=True) | networks(bound=4.0, shared=True), st.data(),
+           st.sampled_from(list(Method)), st.sampled_from([1e-3, 0.1, 1.0, 1e3]),
+           st.integers(1, 6), st.sampled_from([0.0, 0.25, 0.5]), st.integers(1, 3))
+    def test_scalar_path_equals_array_path(self, net, data, method, dt, steps, short,
+                                           record_every):
+        # a short final step when ``short`` > 0.  Values up to 1e308 make
+        # divergence common; bounded ones give terms of like magnitude, whose
+        # sums round differently in another order.
+        assume(not net._block)
+        u0 = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                                | st.floats(-2.0, 2.0)
+                                | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308]),
+                                min_size=net.size, max_size=net.size))
+        config = SolverConfig(method, dt, dt * (steps + short), record_every)
+        scalar = outcome(net, u0, config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ltcsim.solver, "_SCALAR_TERMS", -1)
+            array = outcome(net, u0, config)
+        assert scalar[0] == array[0]
+        for got, want in zip((scalar[1].times, scalar[1].states),
+                             (array[1].times, array[1].states)):
+            assert got.shape == want.shape
+            assert (got.view(np.int64) == want.view(np.int64)).all()
+
+    def test_junction_sides_in_order(self, monkeypatch):
+        # neuron 0 has a-sides to 1 and 2, then b-sides from 3 and 2: summed
+        # b-sides first, its semi-implicit numerator rounds to 1 + 2**-51, not 1
+        net = LtcNetwork([NeuronParams(1.0, 0.0, 0.0)] * 5, (),
+                         [GapJunction(0, 1, 1.0), GapJunction(0, 2, 1.0),
+                          GapJunction(3, 0, 1.0), GapJunction(2, 0, 1.0)], 1)
+        u0 = [0.0, 1.0, 2.0**-53, 2.0**-53, 0.0]
+        for method in Method:
+            config = SolverConfig(method, 0.1, 0.1)
+            scalar = simulate(net, u0, config).states
+            monkeypatch.setattr(ltcsim.solver, "_SCALAR_TERMS", -1)
+            array = simulate(net, u0, config).states
+            monkeypatch.undo()
+            assert (scalar.view(np.int64) == array.view(np.int64)).all()
+        # the last run, semi-implicit, also equals the neuron-by-neuron step
+        assert (scalar[-1].view(np.int64)
+                == semi_implicit_step(np.array(u0), net, 0.1).view(np.int64)).all()
+
+    def test_size_edge(self, monkeypatch):
+        terms = ltcsim.solver._SCALAR_TERMS
+        neurons = [NeuronParams(1.0, 1.0, 0.1 * k) for k in range(8)]
+        gaps = [GapJunction(0, 1, 0.5), GapJunction(2, 3, 0.25)]
+        chem = [ChemicalSynapse(k % 7, k % 8, 0.5, 1.0, 0.1, -0.5) for k in range(terms)]
+        at = LtcNetwork(neurons, chem[:terms - len(gaps)], gaps, 1)
+        over = LtcNetwork(neurons, chem[:terms + 1 - len(gaps)], gaps, 1)
+        assert at.n_chem + at.n_gaps == terms and not at._block
+        assert derivative_calls(monkeypatch, at) == 0
+        assert derivative_calls(monkeypatch, over) == 3
+        # blocks step on arrays whatever their size
+        small = LtcNetwork(neurons[:2], [ChemicalSynapse(0, j, 0.5, 1.0, 0.1, -0.5)
+                                         for j in range(2)], (), 1)
+        for block in (small, realized_network()):
+            assert block._block
+            assert derivative_calls(monkeypatch, block) == 3
