@@ -548,6 +548,8 @@ class PipelineConfig:
         for name in ("n_features", "n_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         positive = ("tau_base", "w_l", "gamma_scale", "ltc_dt", "ref_dt")
         positive += () if self.eta is None else ("eta",)
         _require_positive(**{name: getattr(self, name) for name in positive})

@@ -232,6 +232,11 @@ _NAMES = {"__builtins__": {}, "sin": math.sin, "cos": math.cos, "exp": _safe_exp
 _PREC_DIV, _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = range(5)
 
 
+def _literal(v: float) -> str:
+    """Python source for a float; ``repr`` would print inf as a name."""
+    return ("-1e999" if v < 0 else "1e999") if math.isinf(v) else repr(v)
+
+
 def _paren(emitted, min_prec: int) -> str:
     text, prec = emitted
     return f"({text})" if prec < min_prec else text
@@ -247,8 +252,7 @@ def _emit(node: Expr, py: bool, depth: int = 0) -> tuple[str, int]:
     that holds each denominator, so nested divisions never share one.
     """
     if isinstance(node, Num):
-        v = float(node.value)
-        text = ("-1e999" if v < 0 else "1e999") if math.isinf(v) else repr(v)
+        text = _literal(float(node.value))
         return text, _PREC_ADD if text[0] == "-" else _PREC_ATOM
     if isinstance(node, Var):
         return (f"float(x[{node.index - 1}])" if py else f"x{node.index}"), _PREC_ATOM

@@ -18,16 +18,18 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, IntegrationDivergedError
+from .expr import _literal
 from .model import (
+    _EXP_MAX,
     LtcNetwork,
     _chem_activations,
     _inflow,
-    _scalar_steps,
     network_derivative,
     validate_state,
 )
@@ -41,13 +43,13 @@ __all__ = [
 ]
 
 
-# Synapses plus junctions up to which a network that is not a block steps on
-# lists of Python floats.  A numpy derivative costs about 6 us without
-# junctions and 8.5 us with them, whatever the size; the loops cost about
-# 1.6 us plus 0.23 us per term (3.9 us at 10 terms, 8.9 us at 32).  Per step
-# of a run (2 shared vCPUs, min of 7), the paths meet at 20-32 terms without
-# junctions and 32-40 with them, by method.
+# A non-block network of at most _SCALAR_TERMS synapses plus junctions steps on
+# _compiled_step in runs of at least _COMPILE_EVALS derivative evaluations.  A
+# compile costs 0.5-1.4 ms at 4 terms, 1.4-2.6 ms at 32; then a step costs
+# 2-7 us at 4 terms (arrays: 10-70 us).  The paths meet at 44-178 evaluations
+# up to 16 terms, 102-427 at 24-32, and up to 3,000 past 32 (2 shared vCPUs).
 _SCALAR_TERMS = 32
+_COMPILE_EVALS = 128
 _MAX_STEPS = 2**50
 
 
@@ -79,6 +81,7 @@ class SolverConfig:
         if self.t_end / self.dt > _MAX_STEPS:
             raise ValueError(f"t_end / dt must be at most 2**50 steps, "
                              f"got {self.t_end} / {self.dt}")
+        object.__setattr__(self, "record_every", operator.index(self.record_every))
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -119,23 +122,76 @@ def _rk4_update(f, u: np.ndarray, dt: float) -> np.ndarray:
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_lists(f, u: list, dt: float) -> list:
-    """``_rk4_update`` on lists of floats, combining operands in its order."""
-    h = 0.5 * dt
-    k1 = f(u)
-    k2 = f([x + h * k for x, k in zip(u, k1)])
-    k3 = f([x + h * k for x, k in zip(u, k2)])
-    k4 = f([x + dt * k for x, k in zip(u, k3)])
-    c = dt / 6.0
-    return [x + c * (a + 2.0 * b + 2.0 * d + e) for x, a, b, d, e in zip(u, k1, k2, k3, k4)]
-
-
 def _semi_implicit_update(net: LtcNetwork, u: np.ndarray, dt: float) -> np.ndarray:
     wsig = net._aw * _chem_activations(net, u)
     a_num = _inflow(net, net._g * net._vleak, wsig * net._aerev,
                     None if net._gw2 is None else net._gw2 * u[net._gother])
     b_den = _inflow(net, net._g, wsig, net._gw2)
     return (u + dt * (a_num / net._cm)) / (1.0 + dt * (b_den / net._cm))
+
+
+def _compiled_step(net: LtcNetwork, method: Method):
+    """One step ``(u, dt) -> u_next`` of ``method`` for a non-block network on
+    lists of floats: straight-line Python over locals and literals, compiled
+    per call, doing the array form's IEEE operations in its order (sigmoids
+    as ``model._sigmoid``; each neuron's synapses summed from +0.0, then its
+    junction a-sides and b-sides).  Flat sums never nest parentheses."""
+    lit = _literal
+    cm, g, vleak, w, gamma, mu, erev = (list(map(lit, a.tolist())) for a in (
+        net._cm, net._g, net._vleak, net._w, net._gamma, net._mu, net._erev))
+    gvleak = [lit(a * b) for a, b in zip(net._g.tolist(), net._vleak.tolist())]
+    src, dst = net._src.tolist(), net._dst.tolist()
+    into = [[k for k, d in enumerate(dst) if d == i] for i in range(net.size)]
+    # each neuron's junctions as (other end, w_hat), a-sides first
+    ends = list(zip(net._gself.tolist(), net._gother.tolist(), map(lit, net._gw.tolist() * 2)))
+    gaps = [[(j, wh) for e, j, wh in ends if e == i] for i in range(net.size)]
+
+    def total(terms, gap=False) -> str:
+        """Sum from +0.0, as bincount's; a junction sum only if there are any."""
+        text = f"(0.0 + {' + '.join(terms)})" if terms else "0.0"
+        return (f" + {text}" if net.n_gaps else "") if gap else text
+
+    def sig(k, x) -> str:
+        return (f"(0.0 if (t := {gamma[k]} * ({x[src[k]]} + {mu[k]})) < {lit(-_EXP_MAX)} "
+                f"else 1.0 / (1.0 + exp(-t)))")
+
+    def derivative(x) -> list:
+        return [f"({g[i]} * ({vleak[i]} - {xi}) + "
+                + total([f"{w[k]} * {sig(k, x)} * ({erev[k]} - {xi})" for k in into[i]])
+                + total([f"{wh} * ({x[j]} - {xi})" for j, wh in gaps[i]], True) + f") / {cm[i]}"
+                for i, xi in enumerate(x)]
+
+    x = [f"x{i}" for i in range(net.size)]
+    head, body = [], [f" [{', '.join(x)}] = u"]
+    if method is Method.EULER:
+        new = [f"{xi} + dt * ({d})" for xi, d in zip(x, derivative(x))]
+    elif method is Method.RK4:
+        # a derivative function called four times compiles 2x faster than inlined
+        ks = [[f"k{s}_{i}" for i in range(net.size)] for s in range(4)]
+        head = [f"def f({', '.join(x)}):", f" return [{', '.join(derivative(x))}]"]
+        body += [" h = 0.5 * dt", " c = dt / 6.0", f" [{', '.join(ks[0])}] = f({', '.join(x)})"]
+        for s, step in ((1, "h"), (2, "h"), (3, "dt")):
+            y = [f"{xi} + {step} * {k}" for xi, k in zip(x, ks[s - 1])]
+            body.append(f" [{', '.join(ks[s])}] = f({', '.join(y)})")
+        new = [f"{xi} + c * ({a} + 2.0 * {b} + 2.0 * {d} + {e})"
+               for xi, a, b, d, e in zip(x, *ks)]
+    else:
+        body += [f" s{k} = {w[k]} * {sig(k, x)}" for k in range(len(src))]
+        new = []
+        for i, xi in enumerate(x):
+            num = (f"{gvleak[i]} + " + total([f"s{k} * {erev[k]}" for k in into[i]])
+                   + total([f"{wh} * {x[j]}" for j, wh in gaps[i]], True))
+            # a junction load is a sum of literals, which compile folds
+            den = (f"{g[i]} + " + total([f"s{k}" for k in into[i]])
+                   + total([wh for _, wh in gaps[i]], True))
+            new.append(f"({xi} + dt * (({num}) / {cm[i]})) / (1.0 + dt * (({den}) / {cm[i]}))")
+    source = "\n".join([*head, f"def step(u, dt{', f=f' if head else ''}):", *body,
+                        f" return [{', '.join(new)}]"])
+    names = {"__builtins__": {}, "exp": math.exp}
+    exec(compile(source, "<step>", "exec"), names)
+    # popped, so that no reference cycle through the namespace keeps them alive
+    names.pop("f", None)
+    return names.pop("step")
 
 
 def _finite(u) -> bool:
@@ -145,12 +201,17 @@ def _finite(u) -> bool:
     return math.isfinite(u.dot(u)) or bool(np.isfinite(u).all())
 
 
+def _steps(config: SolverConfig) -> tuple[int, float, int]:
+    """Full steps, the shortened final step (or about 0) and the step count."""
+    n_full = int(np.floor(config.t_end / config.dt + 1e-9))
+    remainder = config.t_end - n_full * config.dt
+    return n_full, remainder, n_full + int(remainder > config.dt * 1e-9)
+
+
 def _run(update, u, config: SolverConfig) -> Trajectory:
     """Shared stepping loop over an array or a list of floats: record stride,
     exact final point, divergence check."""
-    n_full = int(np.floor(config.t_end / config.dt + 1e-9))
-    remainder = config.t_end - n_full * config.dt
-    n_steps = n_full + int(remainder > config.dt * 1e-9)
+    n_full, remainder, n_steps = _steps(config)
     times = [0.0]
     states = [u]  # updates return new states; np.array copies the rows below
     # overflow here means divergence, which is detected and raised below
@@ -168,17 +229,13 @@ def _run(update, u, config: SolverConfig) -> Trajectory:
     return Trajectory(np.array(times), np.array(states))
 
 
-def _update(method: Method, rhs, semi_implicit=None, lists=False):
-    """One step ``(u, dt) -> u_next`` of ``method`` for ``u' = rhs(u)``, on
-    arrays or, with ``lists``, on lists of floats; the semi-implicit scheme
-    needs the network structure, so its step is given as ``semi_implicit``."""
+def _update(method: Method, rhs, semi_implicit=None):
+    """One step ``(u, dt) -> u_next`` of ``method`` for ``u' = rhs(u)``, or the
+    given ``semi_implicit`` step, which needs the network structure."""
     if method is Method.EULER:
-        if lists:
-            return lambda u, dt: [x + dt * k for x, k in zip(u, rhs(u))]
         return lambda u, dt: u + dt * rhs(u)
     if method is Method.RK4:
-        rk4 = _rk4_lists if lists else _rk4_update
-        return lambda u, dt: rk4(rhs, u, dt)
+        return lambda u, dt: _rk4_update(rhs, u, dt)
     if semi_implicit is None:
         raise ValueError("integrate_field supports euler and rk4 only")
     return semi_implicit
@@ -188,15 +245,16 @@ def simulate(net: LtcNetwork, u0, config: SolverConfig) -> Trajectory:
     """Integrate the network from t=0 to t_end; first recorded row is u0.
 
     A single step of size ``dt`` is
-    ``simulate(net, u, SolverConfig(method, dt, dt)).states[-1]``.  A
-    network of at most ``_SCALAR_TERMS`` synapses plus junctions that is not
-    a block steps on lists of floats, with the same bits.
+    ``simulate(net, u, SolverConfig(method, dt, dt)).states[-1]``.  A run
+    of at least ``_COMPILE_EVALS`` derivative evaluations of a network of at
+    most ``_SCALAR_TERMS`` synapses plus junctions that is not a block steps
+    on lists of floats through ``_compiled_step``, with the same bits.
     """
     u0 = validate_state(u0, net)
-    if not net._block and net.n_chem + net.n_gaps <= _SCALAR_TERMS:
-        derivative, semi_implicit = _scalar_steps(net)
-        return _run(_update(config.method, derivative, semi_implicit, lists=True),
-                    u0.tolist(), config)
+    evals = _steps(config)[2] * (4 if config.method is Method.RK4 else 1)
+    if (not net._block and net.n_chem + net.n_gaps <= _SCALAR_TERMS
+            and evals >= _COMPILE_EVALS):
+        return _run(_compiled_step(net, config.method), u0.tolist(), config)
     update = _update(config.method, lambda u: network_derivative(u, net),
                      lambda u, dt: _semi_implicit_update(net, u, dt))
     return _run(update, u0, config)

@@ -238,6 +238,9 @@ class TestErrorPaths:
             code, _, err = run(capsys, *approx, *flags)
             assert code == 1
             assert err.startswith("ERROR usage:")
+        code, _, err = run(capsys, *approx, "--horizon", "1", "--seed", "-1")
+        assert code == 1
+        assert err.startswith("ERROR usage: seed must be >= 0, got -1")
         for domain in ("1:0,0:1", "1:1,0:1", "0:1,0:inf", "0:1,nan:1"):
             code, _, err = run(capsys, "approximate", "--field", "x2;-x1", "--domain", domain,
                                "--x0", "0.5,0.5", "--horizon", "1")

@@ -344,6 +344,14 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"at most 2\*\*50 steps, got 10000\.0 / 1e-12"):
             SolverConfig(Method.RK4, 1e-12, 1e4, 1)
         assert SolverConfig(Method.EULER, 1.0, 2.0**50).t_end == 2.0**50
+        # a stride that is not an integer is refused; numpy integers work
+        for stride in (2.5, 2.0, "2"):
+            with pytest.raises(TypeError):
+                SolverConfig(Method.EULER, 0.1, 1.0, stride)
+        by_numpy = SolverConfig(Method.EULER, 0.1, 1.0, np.int64(2))
+        assert type(by_numpy.record_every) is int and by_numpy.record_every == 2
+        times = simulate(two_neuron_chain(), [0.1, 0.2], by_numpy).times
+        assert times.tolist() == [0.0, *(0.2 * k for k in range(1, 5)), 1.0]
         # a method given by name runs that method, bit for bit
         rng = np.random.default_rng(12)
         net = random_network(rng)
@@ -364,8 +372,8 @@ def outcome(net, u0, config):
         return str(exc), exc.trajectory
 
 
-def derivative_calls(monkeypatch, net) -> int:
-    """Calls of the array derivative in a three-step Euler run of ``net``."""
+def counting(mp) -> list:
+    """Count calls of the array derivative through the solver's name."""
     calls = []
     derivative = ltcsim.solver.network_derivative
 
@@ -373,13 +381,40 @@ def derivative_calls(monkeypatch, net) -> int:
         calls.append(1)
         return derivative(u, n)
 
-    monkeypatch.setattr(ltcsim.solver, "network_derivative", counted)
-    simulate(net, np.full(net.size, 0.1), SolverConfig(Method.EULER, 0.1, 0.3))
+    mp.setattr(ltcsim.solver, "network_derivative", counted)
+    return calls
+
+
+def derivative_calls(monkeypatch, net, steps=3) -> int:
+    """Calls of the array derivative in a ``steps``-step Euler run of ``net``."""
+    calls = counting(monkeypatch)
+    simulate(net, np.full(net.size, 0.1), SolverConfig(Method.EULER, 0.1, 0.1 * steps))
+    monkeypatch.undo()
     return len(calls)
 
 
+def assert_compiled_equals_array(net, u0, config):
+    """The compiled step, forced however short the run, gives the array
+    path's outcome bit for bit, and never calls the array derivative."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ltcsim.solver, "_COMPILE_EVALS", 0)
+        calls = counting(mp)
+        compiled = outcome(net, u0, config)
+    assert calls == []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ltcsim.solver, "_SCALAR_TERMS", -1)
+        array = outcome(net, u0, config)
+    assert compiled[0] == array[0]
+    for got, want in zip((compiled[1].times, compiled[1].states),
+                         (array[1].times, array[1].states)):
+        assert got.shape == want.shape
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+    return compiled
+
+
 class TestScalarPath:
-    """Small networks step on lists of floats with the array path's bits."""
+    """Small networks step on one compiled function per run, over lists of
+    floats, with the array path's bits."""
 
     @given(networks(shared=True) | networks(bound=4.0, shared=True), st.data(),
            st.sampled_from(list(Method)), st.sampled_from([1e-3, 0.1, 1.0, 1e3]),
@@ -395,17 +430,9 @@ class TestScalarPath:
                                 | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308]),
                                 min_size=net.size, max_size=net.size))
         config = SolverConfig(method, dt, dt * (steps + short), record_every)
-        scalar = outcome(net, u0, config)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ltcsim.solver, "_SCALAR_TERMS", -1)
-            array = outcome(net, u0, config)
-        assert scalar[0] == array[0]
-        for got, want in zip((scalar[1].times, scalar[1].states),
-                             (array[1].times, array[1].states)):
-            assert got.shape == want.shape
-            assert (got.view(np.int64) == want.view(np.int64)).all()
+        assert_compiled_equals_array(net, u0, config)
 
-    def test_junction_sides_in_order(self, monkeypatch):
+    def test_junction_sides_in_order(self):
         # neuron 0 has a-sides to 1 and 2, then b-sides from 3 and 2: summed
         # b-sides first, its semi-implicit numerator rounds to 1 + 2**-51, not 1
         net = LtcNetwork([NeuronParams(1.0, 0.0, 0.0)] * 5, (),
@@ -413,29 +440,57 @@ class TestScalarPath:
                           GapJunction(3, 0, 1.0), GapJunction(2, 0, 1.0)], 1)
         u0 = [0.0, 1.0, 2.0**-53, 2.0**-53, 0.0]
         for method in Method:
-            config = SolverConfig(method, 0.1, 0.1)
-            scalar = simulate(net, u0, config).states
-            monkeypatch.setattr(ltcsim.solver, "_SCALAR_TERMS", -1)
-            array = simulate(net, u0, config).states
-            monkeypatch.undo()
-            assert (scalar.view(np.int64) == array.view(np.int64)).all()
+            scalar = assert_compiled_equals_array(net, u0, SolverConfig(method, 0.1, 0.1))
         # the last run, semi-implicit, also equals the neuron-by-neuron step
-        assert (scalar[-1].view(np.int64)
+        assert (scalar[1].states[-1].view(np.int64)
                 == semi_implicit_step(np.array(u0), net, 0.1).view(np.int64)).all()
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_compiled_edge_cases(self, method):
+        terms = ltcsim.solver._SCALAR_TERMS
+        rng = np.random.default_rng(3)
+        # every synapse into one neuron, at the largest count that compiles
+        into_one = LtcNetwork(
+            [NeuronParams(1.0, 0.5, 0.2)] * 3,
+            [ChemicalSynapse(k % 2, 2, *rng.uniform(0.5, 2.0, 2), *rng.uniform(-1.0, 1.0, 2))
+             for k in range(terms)], (), 1)
+        assert into_one.n_chem == terms and not into_one._block
+        # g_leak * v_leak and the junction loads overflow to inf
+        overflow = LtcNetwork(
+            [NeuronParams(1.0, 1e308, 1e308), NeuronParams(1.0, 1e308, 0.0),
+             NeuronParams(1.0, 1.0, 0.0), NeuronParams(1.0, 1.0, -1.0)],
+            [ChemicalSynapse(2, 3, 1e308, 1e308, 1e308, 1e308)],
+            [GapJunction(1, 2, 1e308), GapJunction(2, 1, 1e308)], 1)
+        signed_zeros = LtcNetwork(
+            [NeuronParams(1.0, 1.0, -0.0), NeuronParams(2.0, 0.0, -0.0)],
+            [ChemicalSynapse(0, 1, 1.0, 1.0, -0.0, -0.0), ChemicalSynapse(0, 0, 0.0, 1.0, -0.0, 1.0)],
+            (), 1)
+        cases = [(into_one, [0.3, -0.2, 0.1]), (LtcNetwork([], (), (), 0), []),
+                 (overflow, [0.5, 0.25, -0.5, 0.0]), (overflow, [-1.0, 2.0, 0.0, 1e-300]),
+                 (signed_zeros, [-0.0, -0.0]), (signed_zeros, [0.0, -0.0])]
+        for net, u0 in cases:
+            for dt, t_end in ((0.1, 0.3), (1e-3, 1e-3), (1e3, 2.5e3)):
+                assert_compiled_equals_array(net, u0, SolverConfig(method, dt, t_end))
 
     def test_size_edge(self, monkeypatch):
         terms = ltcsim.solver._SCALAR_TERMS
+        gate = ltcsim.solver._COMPILE_EVALS  # Euler steps at the gate
         neurons = [NeuronParams(1.0, 1.0, 0.1 * k) for k in range(8)]
         gaps = [GapJunction(0, 1, 0.5), GapJunction(2, 3, 0.25)]
         chem = [ChemicalSynapse(k % 7, k % 8, 0.5, 1.0, 0.1, -0.5) for k in range(terms)]
         at = LtcNetwork(neurons, chem[:terms - len(gaps)], gaps, 1)
         over = LtcNetwork(neurons, chem[:terms + 1 - len(gaps)], gaps, 1)
         assert at.n_chem + at.n_gaps == terms and not at._block
-        assert derivative_calls(monkeypatch, at) == 0
-        assert derivative_calls(monkeypatch, over) == 3
+        # from the gate on, a small network compiles; below it, it steps on arrays
+        assert derivative_calls(monkeypatch, at, gate) == 0
+        assert derivative_calls(monkeypatch, at, gate - 1) == gate - 1
+        assert derivative_calls(monkeypatch, at, 3) == 3
+        for steps in (3, gate):
+            assert derivative_calls(monkeypatch, over, steps) == steps
         # blocks step on arrays whatever their size
         small = LtcNetwork(neurons[:2], [ChemicalSynapse(0, j, 0.5, 1.0, 0.1, -0.5)
                                          for j in range(2)], (), 1)
         for block in (small, realized_network()):
             assert block._block
-            assert derivative_calls(monkeypatch, block) == 3
+            for steps in (3, gate):
+                assert derivative_calls(monkeypatch, block, steps) == steps

@@ -1,7 +1,9 @@
 """The benchmark tracer's hold on the program: every name it wraps exists, and
 the solver takes as many steps as the tracer's step count assumes, and on
 the array path calls the derivative through the name the tracer wraps once
-per Euler step and four times per RK4 step."""
+per Euler step and four times per RK4 step.  Small networks step on a
+compiled function, which never calls it, only from ``_COMPILE_EVALS``
+derivative evaluations on."""
 
 import importlib
 import importlib.util
@@ -58,13 +60,20 @@ def test_derivative_calls_per_step(tracing, monkeypatch, method, calls_per_step,
         return derivative(u, net)
 
     monkeypatch.setattr(ltcsim.solver, "network_derivative", counted)
-    config = SolverConfig(method, dt, t_end)
+    gate = ltcsim.solver._COMPILE_EVALS
     # the realized network (a block) and a large random network step on
-    # arrays and must not bypass the name; the chain steps on lists of floats
-    # and never calls it
-    for net, per_step in ((realized_network(), calls_per_step),
-                          (large_random_network(), calls_per_step), (two_neuron_chain(), 0)):
+    # arrays and must not bypass the name; the chain steps on a compiled
+    # function, which never calls it, from _COMPILE_EVALS derivative
+    # evaluations on, and on arrays below that
+    short = calls_per_step * tracing._solver_steps(SolverConfig(method, dt, t_end)) < gate
+    at = -(-gate // calls_per_step)  # steps at the gate
+    for net, t, compiled in ((realized_network(), t_end, False),
+                             (large_random_network(), t_end, False),
+                             (two_neuron_chain(), t_end, not short),
+                             (two_neuron_chain(), (at - 1) * dt, False),
+                             (two_neuron_chain(), at * dt, True)):
         calls.clear()
+        config = SolverConfig(method, dt, t)
         traj = simulate(net, [0.2, 0.3] + [0.1] * (net.size - 2), config)
         assert traj.n_points - 1 == tracing._solver_steps(config)
-        assert len(calls) == per_step * tracing._solver_steps(config)
+        assert len(calls) == (0 if compiled else calls_per_step * tracing._solver_steps(config))
