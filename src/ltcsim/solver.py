@@ -43,13 +43,15 @@ __all__ = [
 ]
 
 
-# A non-block network of at most _SCALAR_TERMS synapses plus junctions steps on
-# _compiled_step in runs of at least _COMPILE_EVALS derivative evaluations.  A
-# compile costs 0.5-1.4 ms at 4 terms, 1.4-2.6 ms at 32; then a step costs
-# 2-7 us at 4 terms (arrays: 10-70 us).  The paths meet at 44-178 evaluations
-# up to 16 terms, 102-427 at 24-32, and up to 3,000 past 32 (2 shared vCPUs).
-_SCALAR_TERMS = 32
-_COMPILE_EVALS = 128
+# units = synapses + junctions + 3 * neurons.  A non-block network of at most
+# _MAX_UNITS units steps on _compiled_run in runs of at least _UNIT_EVALS * units
+# derivative evaluations.  A compile costs 0.3-1.1 ms at 24 units, 2.3-5.3 ms at
+# 112-128; an Euler step then about 0.1 us per unit (arrays: 8-22 us; RK4 x4).
+# The paths meet at 2.5-6.3 evaluations per unit up to 112 units and 4.5-8.4 at
+# 120-128 (2 shared vCPUs; BENCH_15.json).  Sigmoids carry no overflow guard: an
+# exp overflow reruns the whole run on model._sigmoid's guarded form.
+_MAX_UNITS = 128
+_UNIT_EVALS = 5
 _MAX_STEPS = 2**50
 
 
@@ -130,15 +132,17 @@ def _semi_implicit_update(net: LtcNetwork, u: np.ndarray, dt: float) -> np.ndarr
     return (u + dt * (a_num / net._cm)) / (1.0 + dt * (b_den / net._cm))
 
 
-def _compiled_step(net: LtcNetwork, method: Method):
-    """One step ``(u, dt) -> u_next`` of ``method`` for a non-block network on
-    lists of floats: straight-line Python over locals and literals, compiled
-    per call, doing the array form's IEEE operations in its order (sigmoids
-    as ``model._sigmoid``; each neuron's synapses summed from +0.0, then its
-    junction a-sides and b-sides).  Flat sums never nest parentheses."""
+def _compiled_run(net: LtcNetwork, method: Method, guarded: bool = False):
+    """``run(u, segments, stride, n) -> (rows, diverged)``: ``method``'s stepping
+    loop for a non-block network in straight-line Python over float locals and
+    literals, with the array form's IEEE operations in its order (a neuron's
+    synapses from +0.0, then junction a-sides and b-sides; flat sums never nest
+    parentheses).  ``rows`` is flat, ``diverged`` the first non-finite step or
+    0.  Unless ``guarded``, exp raises OverflowError where a sigmoid is 0.0."""
     lit = _literal
-    cm, g, vleak, w, gamma, mu, erev = (list(map(lit, a.tolist())) for a in (
-        net._cm, net._g, net._vleak, net._w, net._gamma, net._mu, net._erev))
+    # -gamma: (-gamma) * y is -(gamma * y) bit for bit, so exp gets model's -t
+    cm, g, vleak, w, ngamma, mu, erev = (list(map(lit, a.tolist())) for a in (
+        net._cm, net._g, net._vleak, net._w, -net._gamma, net._mu, net._erev))
     gvleak = [lit(a * b) for a, b in zip(net._g.tolist(), net._vleak.tolist())]
     src, dst = net._src.tolist(), net._dst.tolist()
     into = [[k for k, d in enumerate(dst) if d == i] for i in range(net.size)]
@@ -152,8 +156,10 @@ def _compiled_step(net: LtcNetwork, method: Method):
         return (f" + {text}" if net.n_gaps else "") if gap else text
 
     def sig(k, x) -> str:
-        return (f"(0.0 if (t := {gamma[k]} * ({x[src[k]]} + {mu[k]})) < {lit(-_EXP_MAX)} "
-                f"else 1.0 / (1.0 + exp(-t)))")
+        # parenthesized, lest w * sigma be read as (w * 1.0) / ...
+        t = f"{ngamma[k]} * ({x[src[k]]} + {mu[k]})"
+        return (f"(0.0 if (t := {t}) > {_EXP_MAX!r} else 1.0 / (1.0 + exp(t)))" if guarded
+                else f"(1.0 / (1.0 + exp({t})))")
 
     def derivative(x) -> list:
         return [f"({g[i]} * ({vleak[i]} - {xi}) + "
@@ -162,21 +168,22 @@ def _compiled_step(net: LtcNetwork, method: Method):
                 for i, xi in enumerate(x)]
 
     x = [f"x{i}" for i in range(net.size)]
-    head, body = [], [f" [{', '.join(x)}] = u"]
+    state = f"[{', '.join(x)}]"
+    head, hoist, body = [], [], []
     if method is Method.EULER:
         new = [f"{xi} + dt * ({d})" for xi, d in zip(x, derivative(x))]
     elif method is Method.RK4:
         # a derivative function called four times compiles 2x faster than inlined
         ks = [[f"k{s}_{i}" for i in range(net.size)] for s in range(4)]
         head = [f"def f({', '.join(x)}):", f" return [{', '.join(derivative(x))}]"]
-        body += [" h = 0.5 * dt", " c = dt / 6.0", f" [{', '.join(ks[0])}] = f({', '.join(x)})"]
-        for s, step in ((1, "h"), (2, "h"), (3, "dt")):
-            y = [f"{xi} + {step} * {k}" for xi, k in zip(x, ks[s - 1])]
-            body.append(f" [{', '.join(ks[s])}] = f({', '.join(y)})")
+        hoist = ["h = 0.5 * dt", "c = dt / 6.0"]
+        ys = [x] + [[f"{xi} + {h} * {k}" for xi, k in zip(x, ks[s])]
+                    for s, h in enumerate(("h", "h", "dt"))]
+        body = [f"[{', '.join(k)}] = f({', '.join(y)})" for k, y in zip(ks, ys)]
         new = [f"{xi} + c * ({a} + 2.0 * {b} + 2.0 * {d} + {e})"
                for xi, a, b, d, e in zip(x, *ks)]
     else:
-        body += [f" s{k} = {w[k]} * {sig(k, x)}" for k in range(len(src))]
+        body = [f"s{k} = {w[k]} * {sig(k, x)}" for k in range(len(src))]
         new = []
         for i, xi in enumerate(x):
             num = (f"{gvleak[i]} + " + total([f"s{k} * {erev[k]}" for k in into[i]])
@@ -185,48 +192,56 @@ def _compiled_step(net: LtcNetwork, method: Method):
             den = (f"{g[i]} + " + total([f"s{k}" for k in into[i]])
                    + total([wh for _, wh in gaps[i]], True))
             new.append(f"({xi} + dt * (({num}) / {cm[i]})) / (1.0 + dt * (({den}) / {cm[i]}))")
-    source = "\n".join([*head, f"def step(u, dt{', f=f' if head else ''}):", *body,
-                        f" return [{', '.join(new)}]"])
-    names = {"__builtins__": {}, "exp": math.exp}
-    exec(compile(source, "<step>", "exec"), names)
-    # popped, so that no reference cycle through the namespace keeps them alive
-    names.pop("f", None)
-    return names.pop("step")
+    body.append(f"{state} = [{', '.join(new)}]")
+    # s - s is 0.0 for a finite sum and NaN (true) otherwise, then tested exactly
+    body += [f"s = {' + '.join(x) or '0.0'}", f"if s - s and not all(map(isfinite, {state})):",
+             "  return rows, k", "if k % stride == 0 or k == n:", f"  rows += {state}"]
+    source = "\n".join([
+        "def run(u, segments, stride, n):", *(f" {line}" for line in head),
+        f" {state} = u", f" rows = {state}", " for dt, steps in segments:",
+        *(f"  {line}" for line in hoist), "  for k in steps:", *(f"   {line}" for line in body),
+        " return rows, 0"])
+    names = {"__builtins__": {"all": all, "map": map}, "exp": math.exp, "isfinite": math.isfinite}
+    exec(compile(source, "<run>", "exec"), names)
+    return names.pop("run")  # popped: no reference cycle through the namespace
 
 
-def _finite(u) -> bool:
-    if type(u) is list:
-        return all(map(math.isfinite, u))
-    # nan/inf make u.u non-finite; if finite squares overflow, test exactly
-    return math.isfinite(u.dot(u)) or bool(np.isfinite(u).all())
-
-
-def _steps(config: SolverConfig) -> tuple[int, float, int]:
-    """Full steps, the shortened final step (or about 0) and the step count."""
+def _steps(config: SolverConfig) -> tuple[int, tuple]:
+    """The step count and (dt, step indices): the full steps, then a short one."""
     n_full = int(np.floor(config.t_end / config.dt + 1e-9))
-    remainder = config.t_end - n_full * config.dt
-    return n_full, remainder, n_full + int(remainder > config.dt * 1e-9)
+    last = config.t_end - n_full * config.dt
+    n_steps = n_full + int(last > config.dt * 1e-9)
+    return n_steps, ((config.dt, range(1, n_full + 1)), (last, range(n_full + 1, n_steps + 1)))
 
 
-def _run(update, u, config: SolverConfig) -> Trajectory:
-    """Shared stepping loop over an array or a list of floats: record stride,
-    exact final point, divergence check."""
-    n_full, remainder, n_steps = _steps(config)
-    times = [0.0]
-    states = [u]  # updates return new states; np.array copies the rows below
-    # overflow here means divergence, which is detected and raised below
+def _trajectory(config: SolverConfig, n_steps: int, states, size: int, diverged=0) -> Trajectory:
+    """The rows recorded before step ``diverged`` (all if 0) at times ``k * dt``,
+    the last one ``t_end``; if ``diverged``, raise IntegrationDivergedError."""
+    every, stop = config.record_every, diverged or n_steps + 1
+    times = np.concatenate(([0.0], np.arange(every, min(stop, n_steps), every) * config.dt,
+                            [config.t_end] * (stop > n_steps)))
+    traj = Trajectory(times, np.reshape(np.array(states, dtype=float), (times.size, size)))
+    if diverged:
+        t = diverged * config.dt if diverged < n_steps else config.t_end
+        raise IntegrationDivergedError(
+            f"integration diverged at t={t}: non-finite state component", traj)
+    return traj
+
+
+def _run(update, u: np.ndarray, config: SolverConfig) -> Trajectory:
+    """Stepping loop over arrays: record stride, short final step, divergence."""
+    n_steps, segments = _steps(config)
+    states = [u]  # updates return new states; np.array copies the rows
+    # divergence: nan/inf make u.u non-finite (overflowing squares are tested exactly)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            u = update(u, config.dt if k <= n_full else remainder)
-            t = k * config.dt if k < n_steps else config.t_end
-            if not _finite(u):
-                raise IntegrationDivergedError(
-                    f"integration diverged at t={t}: non-finite state component",
-                    Trajectory(np.array(times), np.array(states)))
-            if k % config.record_every == 0 or k == n_steps:
-                times.append(t)
-                states.append(u)
-    return Trajectory(np.array(times), np.array(states))
+        for dt, steps in segments:
+            for k in steps:
+                u = update(u, dt)
+                if not (math.isfinite(u.dot(u)) or np.isfinite(u).all()):
+                    return _trajectory(config, n_steps, states, u.size, k)
+                if k % config.record_every == 0 or k == n_steps:
+                    states.append(u)
+    return _trajectory(config, n_steps, states, u.size)
 
 
 def _update(method: Method, rhs, semi_implicit=None):
@@ -245,16 +260,21 @@ def simulate(net: LtcNetwork, u0, config: SolverConfig) -> Trajectory:
     """Integrate the network from t=0 to t_end; first recorded row is u0.
 
     A single step of size ``dt`` is
-    ``simulate(net, u, SolverConfig(method, dt, dt)).states[-1]``.  A run
-    of at least ``_COMPILE_EVALS`` derivative evaluations of a network of at
-    most ``_SCALAR_TERMS`` synapses plus junctions that is not a block steps
-    on lists of floats through ``_compiled_step``, with the same bits.
+    ``simulate(net, u, SolverConfig(method, dt, dt)).states[-1]``.  A run long
+    enough to pay for compiling steps on Python floats through
+    ``_compiled_run``, bit for bit.
     """
     u0 = validate_state(u0, net)
-    evals = _steps(config)[2] * (4 if config.method is Method.RK4 else 1)
-    if (not net._block and net.n_chem + net.n_gaps <= _SCALAR_TERMS
-            and evals >= _COMPILE_EVALS):
-        return _run(_compiled_step(net, config.method), u0.tolist(), config)
+    n_steps, segments = _steps(config)
+    units = net.n_chem + net.n_gaps + 3 * net.size
+    evals = n_steps * (4 if config.method is Method.RK4 else 1)
+    if not net._block and units <= _MAX_UNITS and evals >= _UNIT_EVALS * units:
+        args = (u0.tolist(), segments, config.record_every, n_steps)
+        try:
+            rows, diverged = _compiled_run(net, config.method)(*args)
+        except OverflowError:  # a sigmoid's argument fell below -_EXP_MAX
+            rows, diverged = _compiled_run(net, config.method, guarded=True)(*args)
+        return _trajectory(config, n_steps, rows, net.size, diverged)
     update = _update(config.method, lambda u: network_derivative(u, net),
                      lambda u, dt: _semi_implicit_update(net, u, dt))
     return _run(update, u0, config)

@@ -1,5 +1,6 @@
 """Solver: steppers, trajectory recording, convergence, boundedness."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -393,16 +394,25 @@ def derivative_calls(monkeypatch, net, steps=3) -> int:
     return len(calls)
 
 
-def assert_compiled_equals_array(net, u0, config):
-    """The compiled step, forced however short the run, gives the array
-    path's outcome bit for bit, and never calls the array derivative."""
+@contextlib.contextmanager
+def forced(compiled: bool):
+    """A monkeypatch context in which ``simulate`` steps a network that is not
+    a block on the compiled run (``compiled``) or on arrays, however long the
+    run and large the network."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ltcsim.solver, "_COMPILE_EVALS", 0)
+        mp.setattr(ltcsim.solver, "_MAX_UNITS", math.inf if compiled else -1)
+        mp.setattr(ltcsim.solver, "_UNIT_EVALS", 0)
+        yield mp
+
+
+def assert_compiled_equals_array(net, u0, config):
+    """The compiled run, forced however short the run, gives the array path's
+    outcome bit for bit, and never calls the array derivative."""
+    with forced(True) as mp:
         calls = counting(mp)
         compiled = outcome(net, u0, config)
     assert calls == []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ltcsim.solver, "_SCALAR_TERMS", -1)
+    with forced(False):
         array = outcome(net, u0, config)
     assert compiled[0] == array[0]
     for got, want in zip((compiled[1].times, compiled[1].states),
@@ -447,7 +457,7 @@ class TestScalarPath:
 
     @pytest.mark.parametrize("method", list(Method))
     def test_compiled_edge_cases(self, method):
-        terms = ltcsim.solver._SCALAR_TERMS
+        terms = ltcsim.solver._MAX_UNITS - 3 * 3
         rng = np.random.default_rng(3)
         # every synapse into one neuron, at the largest count that compiles
         into_one = LtcNetwork(
@@ -472,25 +482,83 @@ class TestScalarPath:
             for dt, t_end in ((0.1, 0.3), (1e-3, 1e-3), (1e3, 2.5e3)):
                 assert_compiled_equals_array(net, u0, SolverConfig(method, dt, t_end))
 
+    @pytest.mark.parametrize("method", list(Method))
+    def test_overflow_fallback(self, monkeypatch, method):
+        # the unguarded sigmoid's exp overflows where the argument falls below
+        # -_EXP_MAX; the run is then redone on the guarded form, compiled only then
+        edge = -ltcsim.model._EXP_MAX
+        forms = []
+        generate = ltcsim.solver._compiled_run
+        monkeypatch.setattr(ltcsim.solver, "_compiled_run",
+                            lambda net, m, guarded=False: forms.append(guarded)
+                            or generate(net, m, guarded))
+        # neuron 0 leaks from 0 towards -2 and crosses -0.7098 mid-run
+        crossing = LtcNetwork([NeuronParams(1.0, 1.0, -2.0), NeuronParams(1.0, 1.0, 0.0)],
+                              [ChemicalSynapse(0, 1, 1.0, 1e3, 0.0, 1.0)], (), 1)
+        forms.clear()
+        _, traj = assert_compiled_equals_array(crossing, [0.0, 0.5],
+                                               SolverConfig(method, 0.01, 1.0))
+        assert forms == [False, True] and traj.states[-1, 0] < -0.71
+        # neuron 0 holds its state, which puts the argument at -_EXP_MAX or next
+        # to it; at the edge, w = 1e300 makes the subnormal sigmoid show in x1
+        edge_synapse = ChemicalSynapse(0, 1, 1e300, 1.0, 0.0, 1.0)
+        neurons = [NeuronParams(1.0, 0.0, 0.0)] * 3
+        held = LtcNetwork(neurons, [edge_synapse], (), 2)
+        for x0, crosses in ((math.nextafter(edge, -math.inf), True), (edge, False),
+                            (math.nextafter(edge, 0.0), False)):
+            forms.clear()
+            _, traj = assert_compiled_equals_array(held, [x0, 0.0, 0.0],
+                                                   SolverConfig(method, 0.1, 0.35))
+            assert forms == ([False, True] if crosses else [False])
+            assert (traj.states[-1, 1] > 0.0) == (not crosses)
+        # a second synapse past the edge: the guarded form keeps the edge value
+        past = LtcNetwork(neurons, [edge_synapse, ChemicalSynapse(0, 2, 1.0, 2.0, 0.0, 1.0)],
+                          (), 2)
+        forms.clear()
+        _, traj = assert_compiled_equals_array(past, [edge, 0.0, 0.0],
+                                               SolverConfig(method, 0.1, 0.35))
+        assert forms == [False, True] and traj.states[-1, 1] > 0.0
+
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_divergence_parity(self, every):
+        # the same message and partial trajectory mid-run, and on a short final step
+        pair = LtcNetwork([NeuronParams(1.0, 1.0, 1e308), NeuronParams(1.0, 1.0, 0.0)], (),
+                          [GapJunction(0, 1, 10.0)], 0)
+        for net, method, dt, at in ((leak_neuron(), Method.EULER, 1e3, 103),
+                                    (leak_neuron(), Method.RK4, 1e3, 30),
+                                    (pair, Method.SEMI_IMPLICIT, 0.01, 27)):
+            u0 = [1.0] * net.size
+            for steps, t in ((at + 10, at * dt), (at - 0.5, (at - 0.5) * dt)):
+                text, partial = assert_compiled_equals_array(
+                    net, u0, SolverConfig(method, dt, steps * dt, every))
+                assert text == f"integration diverged at t={t}: non-finite state component"
+                assert partial.times.tolist() == [k * dt for k in range(0, at, every)]
+
     def test_size_edge(self, monkeypatch):
-        terms = ltcsim.solver._SCALAR_TERMS
-        gate = ltcsim.solver._COMPILE_EVALS  # Euler steps at the gate
-        neurons = [NeuronParams(1.0, 1.0, 0.1 * k) for k in range(8)]
+        # units = synapses + junctions + 3 * neurons; a network compiles from
+        # _UNIT_EVALS * units evaluations (Euler steps) up to _MAX_UNITS units
+        per_unit, most = ltcsim.solver._UNIT_EVALS, ltcsim.solver._MAX_UNITS
+        neurons = [NeuronParams(1.0, 1.0, 0.1 * k) for k in range(32)]
         gaps = [GapJunction(0, 1, 0.5), GapJunction(2, 3, 0.25)]
-        chem = [ChemicalSynapse(k % 7, k % 8, 0.5, 1.0, 0.1, -0.5) for k in range(terms)]
-        at = LtcNetwork(neurons, chem[:terms - len(gaps)], gaps, 1)
-        over = LtcNetwork(neurons, chem[:terms + 1 - len(gaps)], gaps, 1)
-        assert at.n_chem + at.n_gaps == terms and not at._block
-        # from the gate on, a small network compiles; below it, it steps on arrays
-        assert derivative_calls(monkeypatch, at, gate) == 0
-        assert derivative_calls(monkeypatch, at, gate - 1) == gate - 1
-        assert derivative_calls(monkeypatch, at, 3) == 3
-        for steps in (3, gate):
-            assert derivative_calls(monkeypatch, over, steps) == steps
+        chem = [ChemicalSynapse(k % 7, k % 8, 0.5, 1.0, 0.1, -0.5) for k in range(128)]
+        for size, terms in ((8, 32), (32, 16), (8, most - 24), (2, 0)):
+            net = LtcNetwork(neurons[:size], chem[:terms - 2] if terms else (),
+                             gaps if terms else (), 1)
+            gate = per_unit * (terms + 3 * size)
+            assert not net._block and gate <= per_unit * most
+            assert derivative_calls(monkeypatch, net, gate) == 0
+            assert derivative_calls(monkeypatch, net, gate - 1) == gate - 1
+            assert derivative_calls(monkeypatch, net, 3) == 3
+        assert derivative_calls(monkeypatch, two_neuron_chain(), 35) == 0  # 7 units
+        # past _MAX_UNITS, and for 2,000 leak-only neurons, arrays however long
+        over = LtcNetwork(neurons[:8], chem[:most - 25], gaps, 1)
+        leaky = LtcNetwork([NeuronParams(1.0, 1.0, 0.0)] * 2000, (), (), 1)
+        for net, steps in ((over, 3), (over, 10 * most), (leaky, 200)):
+            assert derivative_calls(monkeypatch, net, steps) == steps
         # blocks step on arrays whatever their size
         small = LtcNetwork(neurons[:2], [ChemicalSynapse(0, j, 0.5, 1.0, 0.1, -0.5)
                                          for j in range(2)], (), 1)
         for block in (small, realized_network()):
             assert block._block
-            for steps in (3, gate):
+            for steps in (3, 100):
                 assert derivative_calls(monkeypatch, block, steps) == steps

@@ -2,19 +2,20 @@
 the solver takes as many steps as the tracer's step count assumes, and on
 the array path calls the derivative through the name the tracer wraps once
 per Euler step and four times per RK4 step.  Small networks step on a
-compiled function, which never calls it, only from ``_COMPILE_EVALS``
-derivative evaluations on."""
+compiled run, which never calls it, from ``_UNIT_EVALS`` derivative
+evaluations per unit (synapses, junctions and three per neuron) on."""
 
 import importlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ltcsim.solver
-from ltcsim import Method, SolverConfig, random_network, simulate
+from ltcsim import LtcNetwork, Method, NeuronParams, SolverConfig, random_network, simulate
 from helpers import realized_network, two_neuron_chain
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -40,13 +41,14 @@ def test_every_patched_name_resolves(tracing):
 
 
 def large_random_network():
-    """A random network with more synapses plus junctions than ``_SCALAR_TERMS``,
-    so it steps on arrays although it is not a block."""
+    """A random network of more units than ``_MAX_UNITS``, so it steps on
+    arrays although it is not a block."""
     rng = np.random.default_rng(0)
-    while True:
-        net = random_network(rng)
-        if net.n_chem + net.n_gaps > ltcsim.solver._SCALAR_TERMS:
-            return net
+    net = random_network(rng)
+    extra = ltcsim.solver._MAX_UNITS // 3 + 1
+    return LtcNetwork([NeuronParams(1.0, 1.0, 0.0)] * extra + list(net.neurons),
+                      [replace(c, src=c.src + extra, dst=c.dst + extra) for c in net.chem],
+                      [replace(g, a=g.a + extra, b=g.b + extra) for g in net.gaps], net.n_output)
 
 
 @pytest.mark.parametrize("method, calls_per_step", [(Method.EULER, 1), (Method.RK4, 4)])
@@ -60,11 +62,10 @@ def test_derivative_calls_per_step(tracing, monkeypatch, method, calls_per_step,
         return derivative(u, net)
 
     monkeypatch.setattr(ltcsim.solver, "network_derivative", counted)
-    gate = ltcsim.solver._COMPILE_EVALS
+    gate = ltcsim.solver._UNIT_EVALS * (1 + 3 * 2)  # one synapse, two neurons
     # the realized network (a block) and a large random network step on
     # arrays and must not bypass the name; the chain steps on a compiled
-    # function, which never calls it, from _COMPILE_EVALS derivative
-    # evaluations on, and on arrays below that
+    # run, which never calls it, from the gate on, and on arrays below it
     short = calls_per_step * tracing._solver_steps(SolverConfig(method, dt, t_end)) < gate
     at = -(-gate // calls_per_step)  # steps at the gate
     for net, t, compiled in ((realized_network(), t_end, False),
