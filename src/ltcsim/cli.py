@@ -21,6 +21,7 @@ from .io import (
     _check_writable,
     _csv_text,
     _fmt,
+    _reals,
     _write_text,
     read_network,
     read_trajectory,
@@ -43,6 +44,10 @@ class _Parser(argparse.ArgumentParser):
         # Flag values like "-1.5:1.5,-1.5:1.5" or "-0.3,1" must be accepted
         # as values, not mistaken for option names.
         self._negative_number_matcher = re.compile(r"^-[\d.:,eE+-]+$")
+        # type=float and type=int options convert through _reals, which
+        # refuses the "1_0" that float() and int() read as 10
+        self.register("type", float, lambda text: _reals([text])[0])
+        self.register("type", int, lambda text: _reals([text], int)[0])
 
     def error(self, message):
         raise _UsageError(message)
@@ -50,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",")]
+        return _reals(text.split(","))
     except ValueError:
         raise _UsageError(f"{flag} expects comma-separated numbers, got {text!r}")
 
@@ -64,7 +69,7 @@ def _parse_domain(text: str) -> list[list[float]]:
                 f"--domain expects comma-separated lo:hi pairs, got {part!r}"
             )
         try:
-            lo, hi = float(bits[0]), float(bits[1])
+            lo, hi = _reals(bits)
         except ValueError:
             raise _UsageError(f"--domain has a non-numeric bound in {part!r}")
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):

@@ -1,10 +1,13 @@
 """Network document (JSON) and trajectory CSV formats.
 
-The network document is a JSON object with keys ``neurons`` (ordered list
-of {cm, g_leak, v_leak}), ``chemical_synapses`` (list of {src, dst, w,
-gamma, mu, e_rev}), ``gap_junctions`` (list of {a, b, w_hat}) and
-``n_output``; output neurons are the LAST n_output indices.  Parse
-failures name the offending key or list index.
+The network document is a JSON object with keys ``neurons`` (columns cm,
+g_leak, v_leak), ``chemical_synapses`` (columns src, dst, w, gamma, mu,
+e_rev), ``gap_junctions`` (columns a, b, w_hat) and ``n_output``; output
+neurons are the LAST n_output indices.  Each group is an object of equal
+length JSON lists, one per column, and is written with one column per
+line.  A group may also be a list of objects, one per item ({cm, g_leak,
+v_leak} and so on): that layout is still read.  Parse failures name the
+offending key or item index; a key given twice is an error.
 
 Trajectory CSV: header ``t,v0,v1,...``, one row per recorded time, every
 value serialized with 17 significant digits so read-back is bit-exact.
@@ -42,18 +45,20 @@ _ITEMS = 4096  # list items per piece of a streamed network document
 
 
 def _network_pieces(net: LtcNetwork):
-    """The network document laid out exactly as ``json.dumps(indent=2)`` does
-    (Python's float and int repr is what the JSON encoder writes), in pieces
-    of up to ``_ITEMS`` list items, each converting only its own rows."""
+    """The network document, each group an object of columns and each column
+    one JSON list on one line (Python's float and int repr is what the JSON
+    encoder writes), in pieces of up to ``_ITEMS`` values, each converting
+    only its own slice."""
     yield "{\n"
     for name, fields, _ in _GROUPS:
-        arrays = [getattr(net, _ARRAY_OF[f]) for f in fields]
-        item = "\n    {\n" + ",\n".join(f'      "{f}": %r' for f in fields) + "\n    }"
-        yield f'  "{name}": ['
-        for s in range(0, len(arrays[0]), _ITEMS):
-            rows = zip(*(a[s:s + _ITEMS].tolist() for a in arrays))
-            yield ("," if s else "") + ",".join(map(item.__mod__, rows))
-        yield "\n  ],\n" if len(arrays[0]) else "],\n"
+        yield f'  "{name}": {{'
+        for k, f in enumerate(fields):
+            values = getattr(net, _ARRAY_OF[f])
+            yield f'{"," if k else ""}\n    "{f}": ['
+            for s in range(0, len(values), _ITEMS):
+                yield ("," if s else "") + ",".join(map(repr, values[s:s + _ITEMS].tolist()))
+            yield "]"
+        yield "\n  },\n"
     yield f'  "n_output": {net.n_output!r}\n}}\n'
 
 
@@ -100,16 +105,19 @@ def _check_item(item, fields, kind, path):
 
 
 def _columns(items, fields, kind, path) -> dict:
-    """Columns of a list of JSON objects, keyed by field.
+    """Columns of one group, keyed by field: an object of columns, or a list
+    of JSON objects.
 
-    Key sets and value types are checked for the whole list at once.  If
+    Key sets and value types are checked for the whole group at once.  If
     that fails, the per-item checks run in document order and the first
     bad item raises the error, named by its index.
     """
     if items is None:
         items = []
+    if isinstance(items, dict):
+        return _column_object(items, fields, path)
     if not isinstance(items, list):
-        raise FormatError(f"{path} must be a list")
+        raise FormatError(f"{path} must be a list or an object of columns")
     try:
         if set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(fields)}:
             cols = [list(map(itemgetter(f), items)) for f in fields]
@@ -125,10 +133,44 @@ def _columns(items, fields, kind, path) -> dict:
         _check_item(item, fields, kind, f"{path}[{k}]")
 
 
+def _column_object(group: dict, fields, path) -> dict:
+    """Columns of an object of columns, each one JSON list whose element
+    types are checked once for the whole list; if that fails, the first bad
+    element raises the item layout's error.  Lengths, values and indices
+    are left to ``LtcNetwork.from_arrays``."""
+    _check_keys(group, fields, path)
+    cols = {}
+    for f in fields:
+        col = group[f]
+        if not isinstance(col, list):
+            raise FormatError(f"{path}.{f} must be a list, got {type(col).__name__}")
+        index = f in _INDEX_FIELDS
+        try:
+            if set(map(type, col)) <= ({int} if index else {int, float}):
+                cols[f] = col if index else np.array(col, dtype=float)
+                continue
+        except OverflowError:
+            pass
+        for k, v in enumerate(col):
+            (_integer if index else _number)({f: v}, f, f"{path}[{k}]")
+    return cols
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a key given twice (``json`` keeps
+    the last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise FormatError(f"duplicate key {key!r}")
+    return obj
+
+
 def parse_network(text: str) -> LtcNetwork:
     """Parse and validate a network document; topology rules included."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -145,8 +187,8 @@ def parse_network(text: str) -> LtcNetwork:
             raise FormatError(f"missing top-level key {key!r}")
     if isinstance(doc["n_output"], bool) or not isinstance(doc["n_output"], int):
         raise FormatError(f"n_output: expected an integer, got {doc['n_output']!r}")
-    if not isinstance(doc["neurons"], list):
-        raise FormatError("neurons must be a list")
+    if not isinstance(doc["neurons"], (list, dict)):
+        raise FormatError("neurons must be a list or an object of columns")
     cols = {}
     for name, fields, kind in _GROUPS:
         cols.update(_columns(doc.get(name), fields, kind, name))
@@ -154,6 +196,16 @@ def parse_network(text: str) -> LtcNetwork:
         return LtcNetwork.from_arrays(**cols, n_output=doc["n_output"])
     except (ValueError, TopologyError) as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _reals(parts, kind=float) -> list:
+    """``kind`` of each string in ``parts``, refusing a ``_`` in any of them:
+    ``float`` and ``int`` read digit-group underscores ("1_0" is 10), which
+    no file or flag of ltcsim means."""
+    if "_" in "".join(parts):
+        bad = next(p for p in parts if "_" in p)
+        raise ValueError(f"could not convert string to {kind.__name__}: {bad!r}")
+    return list(map(kind, parts))
 
 
 def _fmt(value: float) -> str:
@@ -191,7 +243,7 @@ def trajectory_from_csv(text: str) -> Trajectory:
                 f"line {lineno}: expected {n_cols} columns, got {len(parts)}"
             )
         try:
-            row = [float(p) for p in parts]
+            row = _reals(parts)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
         times.append(row[0])

@@ -254,6 +254,34 @@ class TestErrorPaths:
             assert code == 1
             assert err.startswith("ERROR usage:")
 
+    def test_underscore_in_numeric_flag(self, capsys, net_file, tmp_path):
+        # float() and int() read "1_0" as 10; no numeric flag takes it
+        sim = ["simulate", "--net", net_file, "--out", str(tmp_path / "o.csv")]
+        for flags, named in ((["--init", "1_0", "--dt", "0.1", "--t-end", "1"], "--init"),
+                             (["--init", "0", "--dt", "1_0e-3", "--t-end", "1"], "--dt"),
+                             (["--init", "0", "--dt", "0.1", "--t-end", "1_0"], "--t-end"),
+                             (["--init", "0", "--dt", "0.1", "--t-end", "1",
+                               "--record-every", "1_0"], "--record-every")):
+            code, _, err = run(capsys, *sim, *flags)
+            assert code == 1
+            assert err.startswith("ERROR usage:") and named in err
+        approx = ["approximate", "--field", "x2;-x1", "--horizon", "1"]
+        for flags, named in ((["--domain", "0:1,0:1_0", "--x0", "0.5,0.5"], "--domain"),
+                             (["--domain", "0:1,0:1", "--x0", "0.5,0_5"], "--x0"),
+                             (["--domain", "0:1,0:1", "--x0", "0.5,0.5", "--tau", "1_00"],
+                              "--tau"),
+                             (["--domain", "0:1,0:1", "--x0", "0.5,0.5", "--features", "1_6"],
+                              "--features")):
+            code, _, err = run(capsys, *approx, *flags)
+            assert code == 1
+            assert err.startswith("ERROR usage:") and named in err
+        traj = tmp_path / "t.csv"
+        traj.write_text("t,v0\n0,0.25\n")
+        code, _, err = run(capsys, "verify", "--net", net_file, "--traj", str(traj),
+                           "--tolerance", "1_0")
+        assert code == 1
+        assert err.startswith("ERROR usage: argument --tolerance: invalid float value: '1_0'")
+
     def test_init_dimension_mismatch_numeric(self, capsys, net_file, tmp_path):
         code, _, err = run(capsys, "simulate", "--net", net_file,
                            "--init", "0.1,0.2", "--dt", "0.1", "--t-end", "1",

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import threading
 import tracemalloc
 
@@ -27,11 +28,12 @@ from ltcsim import (
     write_network,
     write_trajectory,
 )
+from ltcsim.cli import cli_dispatch
 from ltcsim.io import _ITEMS, _network_pieces, _write_text
 from helpers import networks, realized_network, rotation_field, two_neuron_chain
 
 def reference_document(net):
-    """The document as the JSON encoder writes it from the item views."""
+    """The item layout as the JSON encoder writes it from the item views."""
     doc = {
         "neurons": [{"cm": p.cm, "g_leak": p.g_leak, "v_leak": p.v_leak}
                     for p in net.neurons],
@@ -44,6 +46,22 @@ def reference_document(net):
         "n_output": net.n_output,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def columnar_document(net):
+    """The columnar layout from the item views: each column is the JSON
+    encoder's compact text of its list, on a line of its own."""
+    groups = []
+    for name, items, fields in (
+            ("neurons", net.neurons, ("cm", "g_leak", "v_leak")),
+            ("chemical_synapses", net.chem, ("src", "dst", "w", "gamma", "mu", "e_rev")),
+            ("gap_junctions", net.gaps, ("a", "b", "w_hat"))):
+        cols = [f'    "{f}": ' + json.dumps([getattr(x, f) for x in items],
+                                            separators=(",", ":"))
+                for f in fields]
+        groups.append(f'  "{name}": {{\n' + ",\n".join(cols) + "\n  }")
+    return "{\n" + ",\n".join(groups + [f'  "n_output": {net.n_output}']) + "\n}\n"
+
 
 MINIMAL = """
 {
@@ -75,11 +93,20 @@ class TestNetworkDocument:
     @given(networks())
     def test_serializer_matches_json_encoder(self, net):
         text = serialize_network(net)
-        assert text == reference_document(net)
+        assert text == columnar_document(net)
         again = parse_network(text)
         assert again == net
         assert again.neurons == net.neurons and again.chem == net.chem
         assert again.gaps == net.gaps
+
+    @given(networks())
+    def test_both_layouts_parse_to_equal_networks(self, net):
+        items = parse_network(reference_document(net))
+        columns = parse_network(columnar_document(net))
+        assert items == columns == net
+        assert items.neurons == columns.neurons == net.neurons
+        assert items.chem == columns.chem == net.chem
+        assert items.gaps == columns.gaps == net.gaps
 
     def test_array_and_tuple_networks_agree(self):
         rng = np.random.default_rng(32)
@@ -184,6 +211,115 @@ class TestNetworkDocument:
             parse_network(json.dumps(doc))
 
 
+COLUMNS = {
+    "neurons": {"cm": [1.0, 1.0], "g_leak": [1.0, 0.5], "v_leak": [0.0, -0.1]},
+    "chemical_synapses": {"src": [0, 0], "dst": [0, 1], "w": [1.5, 1.5],
+                          "gamma": [2.0, 2.0], "mu": [0.1, 0.1], "e_rev": [0.8, -0.8]},
+    "gap_junctions": {"a": [], "b": [], "w_hat": []},
+    "n_output": 1,
+}
+
+
+class TestColumnarDocument:
+    """Errors of the columnar layout: every one is a parse error (exit 2),
+    and a bad element is named as the item layout names it."""
+
+    def columns(self, **changes):
+        doc = json.loads(json.dumps(COLUMNS))
+        for path, value in changes.items():
+            group, _, field = path.partition("__")
+            if value is KeyError:
+                del doc[group][field]
+            else:
+                doc[group][field] = value
+        return doc
+
+    def parse_error(self, capsys, tmp_path, text, match):
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        assert cli_dispatch(["bounds", "--net", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR parse: ")
+        assert re.search(match, err.splitlines()[0]), err
+
+    def test_columns_parse(self):
+        net = parse_network(json.dumps(self.columns()))
+        assert net.size == 2 and net.n_chem == 2 and net.n_gaps == 0
+        assert net.chem[1].e_rev == -0.8
+
+    def test_groups_optional_and_layouts_mix(self):
+        doc = self.columns()
+        del doc["gap_junctions"]
+        doc["neurons"] = [{"cm": 1.0, "g_leak": 1.0, "v_leak": 0.0},
+                          {"cm": 1.0, "g_leak": 0.5, "v_leak": -0.1}]
+        assert parse_network(json.dumps(doc)) == parse_network(json.dumps(COLUMNS))
+
+    @pytest.mark.parametrize("change, match", [
+        (dict(chemical_synapses__w=[1.5]),
+         r"chemical_synapses columns must be 1-D and of equal length"),
+        (dict(chemical_synapses__src=[0, True]),
+         r"chemical_synapses\[1\]\.src: expected an integer, got True"),
+        (dict(chemical_synapses__src=[0.0, 0]),
+         r"chemical_synapses\[0\]\.src: expected an integer, got 0\.0"),
+        (dict(chemical_synapses__w=[1.5, "x"]),
+         r"chemical_synapses\[1\]\.w: expected a number, got 'x'"),
+        (dict(neurons__cm=[1.0, False]), r"neurons\[1\]\.cm: expected a number, got False"),
+        (dict(neurons__v_leak=[None, 0.0]), r"neurons\[0\]\.v_leak: expected a number"),
+        (dict(chemical_synapses__mu=KeyError), r"chemical_synapses: missing key 'mu'"),
+        (dict(chemical_synapses__weight=[1.0, 1.0]),
+         r"chemical_synapses: unknown key 'weight'"),
+        (dict(chemical_synapses__gamma=2.0), r"chemical_synapses\.gamma must be a list"),
+        (dict(gap_junctions__a={}), r"gap_junctions\.a must be a list"),
+        (dict(chemical_synapses__dst=[0, 2]),
+         r"chemical_synapses\[1\]: index out of range for 2 neurons"),
+        (dict(chemical_synapses__src=[0, -1]), r"chemical_synapses\[1\]: .*>= 0"),
+        (dict(chemical_synapses__src=[0, 1]), r"chemical_synapses\[1\]: source 1 is an output"),
+        (dict(chemical_synapses__w=[1.5, -1.0]), r"chemical_synapses\[1\]: w must be >= 0"),
+    ])
+    def test_column_errors(self, capsys, tmp_path, change, match):
+        self.parse_error(capsys, tmp_path, json.dumps(self.columns(**change)), match)
+
+    def test_group_not_columns_or_list(self, capsys, tmp_path):
+        doc = self.columns()
+        doc["chemical_synapses"] = 3
+        self.parse_error(capsys, tmp_path, json.dumps(doc),
+                         r"chemical_synapses must be a list or an object of columns")
+
+    @pytest.mark.parametrize("literal, match", [
+        ("NaN", r"chemical_synapses\[1\]: mu must be finite"),
+        ("1e400", r"chemical_synapses\[1\]: mu must be finite"),
+        ("1" + "0" * 400, r"chemical_synapses\[1\]\.mu: number out of float range"),
+    ])
+    def test_non_finite_values(self, capsys, tmp_path, literal, match):
+        text = json.dumps(COLUMNS).replace('"mu": [0.1, 0.1]', f'"mu": [0.1, {literal}]')
+        assert literal in text
+        self.parse_error(capsys, tmp_path, text, match)
+
+    def test_index_beyond_intp_out_of_range(self, capsys, tmp_path):
+        text = json.dumps(self.columns(chemical_synapses__dst=[0, 10**30]))
+        self.parse_error(capsys, tmp_path, text,
+                         r"chemical_synapses\[1\]: index out of range")
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"neurons": [{"cm": 1, "g_leak": 1, "v_leak": 0}], "neurons": [], '
+         '"n_output": 0}', "neurons"),
+        ('{"neurons": {"cm": [1], "g_leak": [1], "v_leak": [0], "cm": []}, '
+         '"n_output": 0}', "cm"),
+        ('{"neurons": [{"cm": 1, "g_leak": 1, "v_leak": 0, "cm": 2}], "n_output": 1}', "cm"),
+    ])
+    def test_duplicate_key(self, capsys, tmp_path, text, key):
+        with pytest.raises(FormatError, match=f"^duplicate key '{key}'$"):
+            parse_network(text)
+        self.parse_error(capsys, tmp_path, text, f"duplicate key '{key}'")
+
+    def test_underscore_in_csv_cell(self, capsys, tmp_path):
+        net, traj = tmp_path / "net.json", tmp_path / "t.csv"
+        net.write_text(json.dumps(COLUMNS))
+        traj.write_text("t,v0,v1\n0,0.5,0\n0.1,1_0,0\n")
+        assert cli_dispatch(["verify", "--net", str(net), "--traj", str(traj)]) == 2
+        assert capsys.readouterr().err.startswith("ERROR parse: line 3: ")
+
+
 class TestTrajectoryCsv:
     def test_header_format(self):
         traj = Trajectory(np.array([0.0, 0.1]), np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -226,6 +362,12 @@ class TestTrajectoryCsv:
     def test_non_numeric_cell(self):
         with pytest.raises(FormatError, match="line 2"):
             trajectory_from_csv("t,v0\n0,abc\n")
+
+    @pytest.mark.parametrize("cell", ["1_0", "1_0e-3", "_1", "0x_1"])
+    def test_underscore_in_number_refused(self, cell):
+        # float() reads "1_0" as 10.0
+        with pytest.raises(FormatError, match=f"line 3: .*{cell!r}"):
+            trajectory_from_csv(f"t,v0\n0,1\n0.1,{cell}\n")
 
     def test_error_after_blank_line_names_its_file_line(self):
         # blank lines are skipped but still counted
@@ -349,22 +491,30 @@ class TestWriteText:
 
 
 class TestStreamedNetwork:
-    """``write_network`` formats the document in pieces of ``_ITEMS`` list
-    items and compares an existing file with them piece by piece."""
+    """``write_network`` formats the document in pieces of at most ``_ITEMS``
+    column values and compares an existing file with them piece by piece."""
 
-    NET = realized_network(n_features=70)  # 70 x 72 synapses: two pieces of them
+    NET = realized_network(n_features=70)  # 70 x 72 synapses: two pieces per column
+
+    @staticmethod
+    def is_values(piece):
+        """A piece of column values (the others open or close a column)."""
+        return re.match(r",?[-\d]", piece) is not None
 
     def test_pieces_join_to_serialized_document(self):
         pieces = list(_network_pieces(self.NET))
-        assert "".join(pieces) == serialize_network(self.NET) == reference_document(self.NET)
+        assert "".join(pieces) == serialize_network(self.NET) == columnar_document(self.NET)
         n = self.NET.n_chem
         assert _ITEMS < n <= 2 * _ITEMS
-        assert [p.count('"src"') for p in pieces if '"src"' in p] == [_ITEMS, n - _ITEMS]
+        sizes = [p.lstrip(",").count(",") + 1 for p in pieces if self.is_values(p)]
+        assert max(sizes) == _ITEMS
+        assert sizes == [self.NET.size] * 3 + [_ITEMS, n - _ITEMS] * 6
 
     def boundary(self):
-        """Offset of the first byte of the second piece of synapses."""
+        """Offset of the first byte of the second piece of ``src`` values."""
         pieces = list(_network_pieces(self.NET))
-        k = next(i for i, p in enumerate(pieces) if p.startswith(",\n    {"))
+        k = next(i for i, p in enumerate(pieces) if p.startswith(",") and self.is_values(p))
+        assert pieces[k - 2].endswith('"src": [')
         return len("".join(pieces[:k]))
 
     @pytest.mark.parametrize("where", ["first", "boundary-1", "boundary", "last",
@@ -413,8 +563,8 @@ class TestStreamedNetwork:
         assert got == [serialize_network(self.NET).encode()]
 
     def test_peak_memory_on_realized_n256(self, tmp_path):
-        # the document is 9.5 MB: as one str, with its item list and its
-        # bytes, it takes 21.7 MiB
+        # the document is 3.0 MB: as one str, with its piece list and its
+        # bytes, it takes 8.7 MiB
         fit = fit_feedforward(rotation_field(), 256, n_samples=64)
         net = realize_as_ltc(assemble_augmented_system(fit, 10.0, 1e-3))
         path = tmp_path / "net.json"
