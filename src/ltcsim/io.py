@@ -4,10 +4,11 @@ The network document is a JSON object with keys ``neurons`` (columns cm,
 g_leak, v_leak), ``chemical_synapses`` (columns src, dst, w, gamma, mu,
 e_rev), ``gap_junctions`` (columns a, b, w_hat) and ``n_output``; output
 neurons are the LAST n_output indices.  Each group is an object of equal
-length JSON lists, one per column, and is written with one column per
-line.  A group may also be a list of objects, one per item ({cm, g_leak,
-v_leak} and so on): that layout is still read.  Parse failures name the
-offending key or item index; a key given twice is an error.
+length JSON lists, one column a line.  A block's synapses (``LtcNetwork._block``)
+are w, gamma, mu (one value per source) and e_rev (one row per source, one
+value per neuron): synapse r * size + j is source r to neuron j.  Lists of
+objects, one per item, are still read.  Parse failures name the offending
+key or item index; a key given twice is an error.
 
 Trajectory CSV: header ``t,v0,v1,...``, one row per recorded time, every
 value serialized with 17 significant digits so read-back is bit-exact.
@@ -42,21 +43,32 @@ _TOP_KEYS = ("neurons", "chemical_synapses", "gap_junctions", "n_output")
 
 
 _ITEMS = 4096  # list items per piece of a streamed network document
+_BLOCK = ("w", "gamma", "mu", "e_rev")  # the columns of a block's synapses
+
+
+def _list(values):
+    """One JSON list's items, by Python's repr (as the JSON encoder), in pieces of
+    up to ``_ITEMS`` values; a 2-D ``values`` as its rows' lists, one a line."""
+    if values.ndim == 2:
+        for r, row in enumerate(values):
+            yield from chain([f'{"," if r else ""}\n      ['], _list(row), ["]"])
+        return
+    for s in range(0, len(values), _ITEMS):
+        yield ("," if s else "") + ",".join(map(repr, values[s:s + _ITEMS].tolist()))
 
 
 def _network_pieces(net: LtcNetwork):
     """The network document, each group an object of columns and each column
-    one JSON list on one line (Python's float and int repr is what the JSON
-    encoder writes), in pieces of up to ``_ITEMS`` values, each converting
-    only its own slice."""
+    one JSON list on one line; a block's synapses as the ``_BLOCK`` lists."""
     yield "{\n"
     for name, fields, _ in _GROUPS:
+        cols = [(f, getattr(net, _ARRAY_OF[f])) for f in fields]
+        if name == "chemical_synapses" and net._block:  # w, gamma, mu once per source
+            cols = [(f, c[::net.size]) for f, c in cols[2:5]] + [("e_rev", net._aerev)]
         yield f'  "{name}": {{'
-        for k, f in enumerate(fields):
-            values = getattr(net, _ARRAY_OF[f])
+        for k, (f, values) in enumerate(cols):
             yield f'{"," if k else ""}\n    "{f}": ['
-            for s in range(0, len(values), _ITEMS):
-                yield ("," if s else "") + ",".join(map(repr, values[s:s + _ITEMS].tolist()))
+            yield from _list(values)
             yield "]"
         yield "\n  },\n"
     yield f'  "n_output": {net.n_output!r}\n}}\n'
@@ -104,9 +116,9 @@ def _check_item(item, fields, kind, path):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _columns(items, fields, kind, path) -> dict:
-    """Columns of one group, keyed by field: an object of columns, or a list
-    of JSON objects.
+def _columns(items, fields, kind, path, size) -> dict:
+    """Columns of one group, keyed by field: an object of columns (for the
+    synapses of ``size`` neurons, maybe a block), or a list of JSON objects.
 
     Key sets and value types are checked for the whole group at once.  If
     that fails, the per-item checks run in document order and the first
@@ -115,6 +127,8 @@ def _columns(items, fields, kind, path) -> dict:
     if items is None:
         items = []
     if isinstance(items, dict):
+        if "e_rev" in fields and items.keys() == set(_BLOCK):
+            return _block_columns(items, path, size)
         return _column_object(items, fields, path)
     if not isinstance(items, list):
         raise FormatError(f"{path} must be a list or an object of columns")
@@ -133,11 +147,11 @@ def _columns(items, fields, kind, path) -> dict:
         _check_item(item, fields, kind, f"{path}[{k}]")
 
 
-def _column_object(group: dict, fields, path) -> dict:
+def _column_object(group: dict, fields, path, step=1) -> dict:
     """Columns of an object of columns, each one JSON list whose element
     types are checked once for the whole list; if that fails, the first bad
-    element raises the item layout's error.  Lengths, values and indices
-    are left to ``LtcNetwork.from_arrays``."""
+    element raises the item layout's error, as item ``k * step`` for element
+    k.  Lengths, values and indices are left to ``LtcNetwork.from_arrays``."""
     _check_keys(group, fields, path)
     cols = {}
     for f in fields:
@@ -152,8 +166,27 @@ def _column_object(group: dict, fields, path) -> dict:
         except OverflowError:
             pass
         for k, v in enumerate(col):
-            (_integer if index else _number)({f: v}, f, f"{path}[{k}]")
+            (_integer if index else _number)({f: v}, f, f"{path}[{k * step}]")
     return cols
+
+
+def _block_columns(group: dict, path, size) -> dict:
+    """Synapse columns of a block: synapse r * size + j runs from source r to
+    neuron j, with the source's w, gamma and mu and with e_rev[r][j]."""
+    rows = group["e_rev"]
+    cols = _column_object({f: group[f] for f in _BLOCK[:3]}, _BLOCK[:3], path, size)
+    if not isinstance(rows, list) or set(map(len, cols.values())) != {len(rows)}:
+        raise FormatError(f"{path}: w, gamma, mu and e_rev must be lists of one entry per source")
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != size:
+            raise FormatError(f"{path}.e_rev[{r}] must be a list of {size} values, "
+                              "one per neuron")
+    if rows and not size:
+        raise FormatError(f"{path}[0]: index out of range for 0 neurons")
+    cols = {f: np.repeat(c, size) for f, c in cols.items()}
+    cols.update(_column_object({"e_rev": list(chain.from_iterable(rows))}, ("e_rev",), path))
+    n = len(rows)
+    return dict(cols, src=np.repeat(np.arange(n), size), dst=np.tile(np.arange(size), n))
 
 
 def _unique_keys(pairs) -> dict:
@@ -191,7 +224,7 @@ def parse_network(text: str) -> LtcNetwork:
         raise FormatError("neurons must be a list or an object of columns")
     cols = {}
     for name, fields, kind in _GROUPS:
-        cols.update(_columns(doc.get(name), fields, kind, name))
+        cols.update(_columns(doc.get(name), fields, kind, name, len(cols.get("cm", ()))))
     try:
         return LtcNetwork.from_arrays(**cols, n_output=doc["n_output"])
     except (ValueError, TopologyError) as exc:

@@ -49,7 +49,7 @@ __all__ = [
 # 112-128; an Euler step then about 0.1 us per unit (arrays: 8-22 us; RK4 x4).
 # The paths meet at 2.5-6.3 evaluations per unit up to 112 units and 4.5-8.4 at
 # 120-128 (2 shared vCPUs; BENCH_15.json).  Sigmoids carry no overflow guard: an
-# exp overflow reruns the whole run on model._sigmoid's guarded form.
+# exp overflow reruns the whole run compiled with ``guarded``.
 _MAX_UNITS = 128
 _UNIT_EVALS = 5
 _MAX_STEPS = 2**50

@@ -5,10 +5,12 @@ import os
 import re
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from ltcsim import (
     FormatError,
@@ -28,6 +30,7 @@ from ltcsim import (
     write_network,
     write_trajectory,
 )
+import ltcsim.io
 from ltcsim.cli import cli_dispatch
 from ltcsim.io import _ITEMS, _network_pieces, _write_text
 from helpers import networks, realized_network, rotation_field, two_neuron_chain
@@ -48,19 +51,33 @@ def reference_document(net):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def columnar_document(net):
+def columnar_document(net, block=False):
     """The columnar layout from the item views: each column is the JSON
-    encoder's compact text of its list, on a line of its own."""
+    encoder's compact text of its list, on a line of its own.  With
+    ``block``, the synapses are the block layout: each source's w, gamma and
+    mu (from its first synapse), then one e_rev row per source, each row on
+    a line of its own and the last closing the list."""
+    dump = lambda values: json.dumps(values, separators=(",", ":"))  # noqa: E731
     groups = []
     for name, items, fields in (
             ("neurons", net.neurons, ("cm", "g_leak", "v_leak")),
             ("chemical_synapses", net.chem, ("src", "dst", "w", "gamma", "mu", "e_rev")),
             ("gap_junctions", net.gaps, ("a", "b", "w_hat"))):
-        cols = [f'    "{f}": ' + json.dumps([getattr(x, f) for x in items],
-                                            separators=(",", ":"))
-                for f in fields]
+        cols = [f'    "{f}": ' + dump([getattr(x, f) for x in items]) for f in fields]
+        if block and name == "chemical_synapses":
+            rows = [items[k:k + net.size] for k in range(0, len(items), net.size)]
+            cols = [f'    "{f}": ' + dump([getattr(row[0], f) for row in rows])
+                    for f in ("w", "gamma", "mu")]
+            cols.append('    "e_rev": [\n' + ",\n".join(
+                "      " + dump([s.e_rev for s in row]) for row in rows) + "]")
         groups.append(f'  "{name}": {{\n' + ",\n".join(cols) + "\n  }")
     return "{\n" + ",\n".join(groups + [f'  "n_output": {net.n_output}']) + "\n}\n"
+
+
+def block_networks():
+    """Random block networks, and networks that realize_as_ltc builds."""
+    return networks(block=True) | st.builds(realized_network, st.integers(1, 9),
+                                            st.integers(0, 5))
 
 
 MINIMAL = """
@@ -92,8 +109,10 @@ class TestNetworkDocument:
 
     @given(networks())
     def test_serializer_matches_json_encoder(self, net):
+        # a random network is rarely a block (one source reaching every
+        # neuron): then it takes the block layout
         text = serialize_network(net)
-        assert text == columnar_document(net)
+        assert text == columnar_document(net, block=net._block)
         again = parse_network(text)
         assert again == net
         assert again.neurons == net.neurons and again.chem == net.chem
@@ -107,6 +126,19 @@ class TestNetworkDocument:
         assert items.neurons == columns.neurons == net.neurons
         assert items.chem == columns.chem == net.chem
         assert items.gaps == columns.gaps == net.gaps
+
+    @given(block_networks())
+    def test_block_layout_written_and_read(self, net):
+        assert net._block
+        text = serialize_network(net)
+        assert text == columnar_document(net, block=True)
+        assert serialize_network(parse_network(text)) == text
+        block, columns, items = (parse_network(doc) for doc in (
+            text, columnar_document(net), reference_document(net)))
+        assert block == columns == items == net
+        assert block.neurons == columns.neurons == items.neurons == net.neurons
+        assert block.chem == columns.chem == items.chem == net.chem
+        assert block.gaps == columns.gaps == items.gaps == net.gaps == ()
 
     def test_array_and_tuple_networks_agree(self):
         rng = np.random.default_rng(32)
@@ -320,6 +352,108 @@ class TestColumnarDocument:
         assert capsys.readouterr().err.startswith("ERROR parse: line 3: ")
 
 
+BLOCK = {
+    "neurons": {"cm": [1.0, 2.0, 1.0], "g_leak": [1.0, 0.5, 0.1], "v_leak": [0.0, -0.1, 0.2]},
+    "chemical_synapses": {"w": [1.5, 0.5], "gamma": [2.0, 1.0], "mu": [0.1, -0.2],
+                          "e_rev": [[0.8, -0.8, 0.3], [0.2, 0.4, -0.6]]},
+    "gap_junctions": {"a": [], "b": [], "w_hat": []},
+    "n_output": 1,
+}
+
+
+class TestBlockDocument:
+    """The block layout of ``chemical_synapses``: synapse r * size + j runs
+    from source r to neuron j.  Every error is a parse error (exit 2), and a
+    synapse is named by that flat index."""
+
+    parse_error = TestColumnarDocument.parse_error
+
+    def block(self, n_output=1, **changes):
+        doc = json.loads(json.dumps(BLOCK))
+        doc["chemical_synapses"].update(changes)
+        doc["n_output"] = n_output
+        return json.dumps(doc)
+
+    def test_expands_to_columns(self):
+        net = parse_network(self.block())
+        cols = dict(BLOCK, chemical_synapses={
+            "src": [0, 0, 0, 1, 1, 1], "dst": [0, 1, 2] * 2, "w": [1.5] * 3 + [0.5] * 3,
+            "gamma": [2.0] * 3 + [1.0] * 3, "mu": [0.1] * 3 + [-0.2] * 3,
+            "e_rev": [0.8, -0.8, 0.3, 0.2, 0.4, -0.6]})
+        assert net == parse_network(json.dumps(cols)) and net._block
+        assert serialize_network(net) == columnar_document(net, block=True)
+
+    def test_no_sources_and_junctions(self):
+        net = parse_network(self.block(w=[], gamma=[], mu=[], e_rev=[]))
+        assert net.n_chem == 0 and not net._block
+        doc = json.loads(self.block())
+        doc["gap_junctions"] = {"a": [0], "b": [1], "w_hat": [0.5]}
+        doc["n_output"] = 0
+        net = parse_network(json.dumps(doc))
+        assert net.n_chem == 6 and net.n_gaps == 1 and not net._block
+        assert '"src": [0,0,0,1,1,1]' in serialize_network(net)
+
+    def test_block_keys_elsewhere_unknown(self, capsys, tmp_path):
+        doc = json.loads(self.block())
+        doc["gap_junctions"] = {"w": [], "gamma": [], "mu": [], "e_rev": []}
+        self.parse_error(capsys, tmp_path, json.dumps(doc), r"gap_junctions: missing key 'a'")
+
+    @pytest.mark.parametrize("change, match", [
+        (dict(e_rev=[[0.8, -0.8, 0.3], [0.2, 0.4]]),
+         r"chemical_synapses\.e_rev\[1\] must be a list of 3 values, one per neuron$"),
+        (dict(e_rev=[[0.8, -0.8], [0.2, 0.4]]), r"chemical_synapses\.e_rev\[0\] must be a list"),
+        (dict(e_rev=[[0.8, -0.8, 0.3, 0.0], [0.2, 0.4, -0.6, 0.0]]),
+         r"chemical_synapses\.e_rev\[0\] must be a list of 3 values"),
+        (dict(e_rev=[[0.8, -0.8, 0.3], 0.5]),
+         r"chemical_synapses\.e_rev\[1\] must be a list of 3 values"),
+        (dict(e_rev=3.0), r"chemical_synapses: w, gamma, mu and e_rev must be lists of "
+                          r"one entry per source$"),
+        (dict(e_rev={}), r"w, gamma, mu and e_rev must be lists of one entry per source"),
+        (dict(w=[1.5]), r"w, gamma, mu and e_rev must be lists of one entry per source"),
+        (dict(mu=[0.1, -0.2, 0.0]), r"must be lists of one entry per source"),
+        (dict(e_rev=[[0.8, -0.8, 0.3]] * 3), r"must be lists of one entry per source"),
+        (dict(e_rev=[[0.8, -0.8, 0.3], [0.2, True, -0.6]]),
+         r"chemical_synapses\[4\]\.e_rev: expected a number, got True"),
+        (dict(e_rev=[[0.8, "x", 0.3], [0.2, 0.4, -0.6]]),
+         r"chemical_synapses\[1\]\.e_rev: expected a number, got 'x'"),
+        (dict(e_rev=[[0.8, -0.8, 0.3], [0.2, 0.4, None]]),
+         r"chemical_synapses\[5\]\.e_rev: expected a number, got None"),
+        (dict(w=[1.5, False]), r"chemical_synapses\[3\]\.w: expected a number, got False"),
+        (dict(gamma="2.0"), r"chemical_synapses\.gamma must be a list, got str"),
+        (dict(w=[1.5, -1.0]), r"chemical_synapses\[3\]: w must be >= 0"),
+        (dict(gamma=[0.0, 1.0]), r"chemical_synapses\[0\]: gamma must be > 0"),
+        (dict(src=[0, 0, 0, 1, 1, 1]), r"chemical_synapses: missing key 'dst'"),
+    ])
+    def test_block_errors(self, capsys, tmp_path, change, match):
+        self.parse_error(capsys, tmp_path, self.block(**change), match)
+
+    def test_output_source(self, capsys, tmp_path):
+        self.parse_error(capsys, tmp_path, self.block(n_output=2),
+                         r"chemical_synapses\[3\]: source 1 is an output neuron")
+
+    def test_sources_without_neurons(self, capsys, tmp_path):
+        text = json.dumps({"neurons": {"cm": [], "g_leak": [], "v_leak": []},
+                           "chemical_synapses": {"w": [1.0], "gamma": [1.0], "mu": [0.0],
+                                                 "e_rev": [[]]}, "n_output": 0})
+        self.parse_error(capsys, tmp_path, text,
+                         r"chemical_synapses\[0\]: index out of range for 0 neurons")
+
+    @pytest.mark.parametrize("at, literal, match", [
+        ("e_rev", "NaN", r"chemical_synapses\[4\]: e_rev must be finite"),
+        ("e_rev", "1e400", r"chemical_synapses\[4\]: e_rev must be finite"),
+        ("e_rev", "1" + "0" * 400, r"chemical_synapses\[4\]\.e_rev: number out of float range"),
+        ("mu", "NaN", r"chemical_synapses\[3\]: mu must be finite"),
+        ("mu", "-1e400", r"chemical_synapses\[3\]: mu must be finite"),
+        ("mu", "1" + "0" * 400, r"chemical_synapses\[3\]\.mu: number out of float range"),
+    ])
+    def test_non_finite_values(self, capsys, tmp_path, at, literal, match):
+        old = {"e_rev": "[0.2, 0.4, -0.6]", "mu": "[0.1, -0.2]"}[at]
+        new = old.replace("0.4" if at == "e_rev" else "-0.2", literal)
+        text = self.block().replace(old, new)
+        assert literal in text
+        self.parse_error(capsys, tmp_path, text, match)
+
+
 class TestTrajectoryCsv:
     def test_header_format(self):
         traj = Trajectory(np.array([0.0, 0.1]), np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -492,29 +626,51 @@ class TestWriteText:
 
 class TestStreamedNetwork:
     """``write_network`` formats the document in pieces of at most ``_ITEMS``
-    column values and compares an existing file with them piece by piece."""
+    list values and compares an existing file with them piece by piece."""
 
-    NET = realized_network(n_features=70)  # 70 x 72 synapses: two pieces per column
+    NET = realized_network(n_features=70)  # a block: 70 sources x 72 neurons
+    # the same synapses with one w changed: no block, so 5,040 values per
+    # column, two pieces each
+    COLUMNS = LtcNetwork(NET.neurons, NET.chem[:-1] + (replace(NET.chem[-1], w=0.5),),
+                         NET.gaps, NET.n_output)
 
     @staticmethod
     def is_values(piece):
-        """A piece of column values (the others open or close a column)."""
+        """A piece of list values (the others open or close a list)."""
         return re.match(r",?[-\d]", piece) is not None
+
+    def sizes(self, pieces):
+        return [p.lstrip(",").count(",") + 1 for p in pieces if self.is_values(p)]
 
     def test_pieces_join_to_serialized_document(self):
         pieces = list(_network_pieces(self.NET))
-        assert "".join(pieces) == serialize_network(self.NET) == columnar_document(self.NET)
-        n = self.NET.n_chem
+        assert "".join(pieces) == serialize_network(self.NET)
+        assert "".join(pieces) == columnar_document(self.NET, block=True)
+        sizes = self.sizes(pieces)
+        assert max(sizes) <= _ITEMS
+        assert sizes == [72] * 3 + [70] * 3 + [72] * 70
+        pieces = list(_network_pieces(self.COLUMNS))
+        assert not self.COLUMNS._block
+        assert "".join(pieces) == serialize_network(self.COLUMNS) == columnar_document(
+            self.COLUMNS)
+        n = self.COLUMNS.n_chem
         assert _ITEMS < n <= 2 * _ITEMS
-        sizes = [p.lstrip(",").count(",") + 1 for p in pieces if self.is_values(p)]
+        sizes = self.sizes(pieces)
         assert max(sizes) == _ITEMS
-        assert sizes == [self.NET.size] * 3 + [_ITEMS, n - _ITEMS] * 6
+        assert sizes == [72] * 3 + [_ITEMS, n - _ITEMS] * 6
+
+    def test_rows_longer_than_a_piece_split(self, monkeypatch):
+        monkeypatch.setattr(ltcsim.io, "_ITEMS", 50)
+        pieces = list(_network_pieces(self.NET))
+        assert "".join(pieces) == columnar_document(self.NET, block=True)
+        assert self.sizes(pieces) == [50, 22] * 3 + [50, 20] * 3 + [50, 22] * 70
 
     def boundary(self):
-        """Offset of the first byte of the second piece of ``src`` values."""
+        """Offset of the first byte of the second e_rev row's values."""
         pieces = list(_network_pieces(self.NET))
-        k = next(i for i, p in enumerate(pieces) if p.startswith(",") and self.is_values(p))
-        assert pieces[k - 2].endswith('"src": [')
+        k = next(i for i, p in enumerate(pieces) if p == ",\n      [") + 1
+        assert self.is_values(pieces[k]) and self.is_values(pieces[k - 3])
+        assert "".join(pieces[:k]).endswith('"e_rev": [\n      [' + pieces[k - 3] + "],\n      [")
         return len("".join(pieces[:k]))
 
     @pytest.mark.parametrize("where", ["first", "boundary-1", "boundary", "last",
@@ -563,8 +719,9 @@ class TestStreamedNetwork:
         assert got == [serialize_network(self.NET).encode()]
 
     def test_peak_memory_on_realized_n256(self, tmp_path):
-        # the document is 3.0 MB: as one str, with its piece list and its
-        # bytes, it takes 8.7 MiB
+        # the block document is 1.3 MB: as one str, with its piece list and
+        # its bytes, it takes 3.6 MiB, under the 4 MiB bound; so the peak is
+        # also held below the document's own size
         fit = fit_feedforward(rotation_field(), 256, n_samples=64)
         net = realize_as_ltc(assemble_augmented_system(fit, 10.0, 1e-3))
         path = tmp_path / "net.json"
@@ -576,4 +733,5 @@ class TestStreamedNetwork:
             finally:
                 tracemalloc.stop()
             assert peak < 4 << 20, case
+            assert peak < os.path.getsize(path), case
         assert path.read_text() == serialize_network(net)

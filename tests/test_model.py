@@ -43,7 +43,7 @@ def float_bits(a):
 # underflows (745.2) and the largest argument whose exp is finite
 _EXP_MAX = 709.782712893384
 SIGMOID_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
-                 1e-310, -1e-310, 745.2, -745.2]
+                 1e-310, -1e-310, 745.2, -745.2, 800.0, -800.0]
 SIGMOID_EDGES += [sign * math.nextafter(_EXP_MAX, to) for sign in (1.0, -1.0)
                   for to in (0.0, _EXP_MAX, math.inf)]
 sigmoid_args = (st.sampled_from(SIGMOID_EDGES) | st.floats(-750.0, 750.0)
@@ -53,7 +53,9 @@ sigmoid_args = (st.sampled_from(SIGMOID_EDGES) | st.floats(-750.0, 750.0)
 class TestSigmoid:
     @given(st.data())
     def test_libm_path_equals_scipy(self, data):
-        shape = data.draw(st.just(()) | st.tuples(st.integers(0, 20))
+        shape = data.draw(st.just(()) | st.tuples(st.integers(0, 20) | st.integers(60, 200))
+                          | st.tuples(st.integers(0, 4), st.integers(0, 6))
+                          | st.tuples(st.integers(8, 12), st.integers(6, 12))
                           | st.tuples(st.integers(1, 4), st.integers(1, 6), st.just(1)))
         values = data.draw(st.lists(sigmoid_args, min_size=math.prod(shape),
                                     max_size=math.prod(shape)))
@@ -62,6 +64,20 @@ class TestSigmoid:
         with np.errstate(over="ignore"):
             want = np.asarray(expit(x))
         assert got.shape == shape and got.dtype == np.float64
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+
+    @pytest.mark.parametrize("shape", [(2 * len(SIGMOID_EDGES),), (2, len(SIGMOID_EDGES)),
+                                       (8 * len(SIGMOID_EDGES),), (4, 2 * len(SIGMOID_EDGES)),
+                                       (0,), (3, 0), ()])
+    def test_libm_path_on_every_edge(self, shape):
+        # every edge and its negation, in 1-D and 2-D, below and above the 64
+        # values where the path turns from one value at a time to the whole
+        # array; a 0-d input takes the first edge, 0.0, and gives a 0-d array
+        x = np.resize(np.array(SIGMOID_EDGES + [-v for v in SIGMOID_EDGES]), shape)
+        got = _expit_libm(x)
+        with np.errstate(over="ignore"):
+            want = np.asarray(expit(x))
+        assert type(got) is np.ndarray and got.shape == shape and got.dtype == np.float64
         assert (got.view(np.int64) == want.view(np.int64)).all()
 
     def test_zero_argument_gives_half(self):
