@@ -173,6 +173,8 @@ def _column_object(group: dict, fields, path, step=1) -> dict:
 def _block_columns(group: dict, path, size) -> dict:
     """Synapse columns of a block: synapse r * size + j runs from source r to
     neuron j, with the source's w, gamma and mu and with e_rev[r][j]."""
+    if size is None:  # ragged neuron columns, which from_arrays names first
+        return {}
     rows = group["e_rev"]
     cols = _column_object({f: group[f] for f in _BLOCK[:3]}, _BLOCK[:3], path, size)
     if not isinstance(rows, list) or set(map(len, cols.values())) != {len(rows)}:
@@ -224,7 +226,9 @@ def parse_network(text: str) -> LtcNetwork:
         raise FormatError("neurons must be a list or an object of columns")
     cols = {}
     for name, fields, kind in _GROUPS:
-        cols.update(_columns(doc.get(name), fields, kind, name, len(cols.get("cm", ()))))
+        sizes = set(map(len, cols.values()))  # the neuron count, to a block's rows
+        cols.update(_columns(doc.get(name), fields, kind, name,
+                             sizes.pop() if len(sizes) == 1 else None))
     try:
         return LtcNetwork.from_arrays(**cols, n_output=doc["n_output"])
     except (ValueError, TopologyError) as exc:

@@ -51,12 +51,9 @@ _libm_spent = 0
 
 
 def _expit_libm(x) -> np.ndarray:
-    """``scipy.special.expit`` bit for bit via the C library's exp of -x: value by
-    value below 64 values, else over the array capped at ``_EXP_MAX``, 0.0 above."""
+    """``scipy.special.expit`` bit for bit via the C library's exp of -x, capped
+    at ``_EXP_MAX``; 0.0 where -x is above it."""
     x = np.asarray(x, dtype=float)
-    if x.size < 64:  # where numpy's cost per call outweighs its saving per value
-        return np.array([0.0 if t < -_EXP_MAX else 1.0 / (1.0 + math.exp(-t))
-                         for t in x.ravel().tolist()]).reshape(x.shape)
     e = np.fromiter(map(math.exp, np.minimum(-x, _EXP_MAX).ravel().tolist()), float, x.size)
     return np.where(x < -_EXP_MAX, 0.0, 1.0 / (1.0 + e.reshape(x.shape)))
 

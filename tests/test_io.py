@@ -431,6 +431,15 @@ class TestBlockDocument:
         self.parse_error(capsys, tmp_path, self.block(n_output=2),
                          r"chemical_synapses\[3\]: source 1 is an output neuron")
 
+    @pytest.mark.parametrize("rows", [[[0.8, -0.8], [0.2, 0.4]],
+                                      [[0.8, -0.8, 0.3], [0.2, 0.4, -0.6]]])
+    def test_ragged_neurons(self, capsys, tmp_path, rows):
+        # the neurons' error comes first, whatever length the rows have
+        doc = json.loads(self.block(e_rev=rows))
+        doc["neurons"]["g_leak"] = [1.0, 0.5]
+        self.parse_error(capsys, tmp_path, json.dumps(doc),
+                         r"neurons columns must be 1-D and of equal length$")
+
     def test_sources_without_neurons(self, capsys, tmp_path):
         text = json.dumps({"neurons": {"cm": [], "g_leak": [], "v_leak": []},
                            "chemical_synapses": {"w": [1.0], "gamma": [1.0], "mu": [0.0],

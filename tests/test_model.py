@@ -70,9 +70,8 @@ class TestSigmoid:
                                        (8 * len(SIGMOID_EDGES),), (4, 2 * len(SIGMOID_EDGES)),
                                        (0,), (3, 0), ()])
     def test_libm_path_on_every_edge(self, shape):
-        # every edge and its negation, in 1-D and 2-D, below and above the 64
-        # values where the path turns from one value at a time to the whole
-        # array; a 0-d input takes the first edge, 0.0, and gives a 0-d array
+        # every edge and its negation, in 1-D and 2-D, short and long, and
+        # empty; a 0-d input takes the first edge, 0.0, and gives a 0-d array
         x = np.resize(np.array(SIGMOID_EDGES + [-v for v in SIGMOID_EDGES]), shape)
         got = _expit_libm(x)
         with np.errstate(over="ignore"):
