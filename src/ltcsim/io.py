@@ -25,7 +25,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, TopologyError
-from .model import _ARRAY_OF, _GROUPS, _INDEX_FIELDS, LtcNetwork
+from .model import _ARRAY_OF, _GROUPS, LtcNetwork, _check
 from .solver import Trajectory
 
 __all__ = [
@@ -44,6 +44,7 @@ _TOP_KEYS = ("neurons", "chemical_synapses", "gap_junctions", "n_output")
 
 _ITEMS = 4096  # list items per piece of a streamed network document
 _BLOCK = ("w", "gamma", "mu", "e_rev")  # the columns of a block's synapses
+_KIND = {f: kind for _, types, _ in _GROUPS for f, kind in types.items()}  # int or float
 
 
 def _list(values):
@@ -89,41 +90,27 @@ def _check_keys(item, required, path):
         raise FormatError(f"{path}: unknown key {extra[0]!r}")
 
 
-def _number(item, key, path):
+def _typed(item, key, path, kind):
+    """``item[key]`` as ``kind``: a JSON integer for int, any JSON number for float."""
     v = item[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise FormatError(f"{path}.{key}: expected a number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise FormatError(f"{path}.{key}: expected {what}, got {v!r}")
     try:
-        return float(v)
+        return kind(v)
     except OverflowError:
         raise FormatError(f"{path}.{key}: number out of float range") from None
 
 
-def _integer(item, key, path):
-    v = item[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise FormatError(f"{path}.{key}: expected an integer, got {v!r}")
-    return v
-
-
-def _check_item(item, fields, kind, path):
-    """Keys, value types and parameter rules of one list item."""
-    _check_keys(item, fields, path)
-    try:
-        kind(*(_integer(item, f, path) if f in _INDEX_FIELDS else _number(item, f, path)
-               for f in fields))
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
-def _columns(items, fields, kind, path, size) -> dict:
-    """Columns of one group, keyed by field: an object of columns (for the
-    synapses of ``size`` neurons, maybe a block), or a list of JSON objects.
+def _columns(items, group, path, size) -> dict:
+    """Columns of ``_GROUPS[group]``, keyed by field: an object of columns (for
+    the synapses of ``size`` neurons, maybe a block), or a list of JSON objects.
 
     Key sets and value types are checked for the whole group at once.  If
-    that fails, the per-item checks run in document order and the first
-    bad item raises the error, named by its index.
+    that fails, each item's keys, types and parameter rules are checked in
+    document order, and the first bad item raises the error, named by its index.
     """
+    _, fields, rules = _GROUPS[group]
     if items is None:
         items = []
     if isinstance(items, dict):
@@ -134,17 +121,16 @@ def _columns(items, fields, kind, path, size) -> dict:
         raise FormatError(f"{path} must be a list or an object of columns")
     try:
         if set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(fields)}:
-            cols = [list(map(itemgetter(f), items)) for f in fields]
-            if all(set(map(type, col)) <= ({int} if f in _INDEX_FIELDS else {int, float})
-                   for f, col in zip(fields, cols)):
-                return {f: col if f in _INDEX_FIELDS else np.array(col, dtype=float)
-                        for f, col in zip(fields, cols)}
-    except (KeyError, OverflowError):
+            cols = {f: list(map(itemgetter(f), items)) for f in fields}
+            return _column_object(cols, fields, path)
+    except (KeyError, FormatError):
         pass
     # Every way the whole-list pass can fail is a key, type or range error
     # that one of the per-item checks raises.
     for k, item in enumerate(items):
-        _check_item(item, fields, kind, f"{path}[{k}]")
+        _check_keys(item, fields, f"{path}[{k}]")
+        row = {f: _typed(item, f, f"{path}[{k}]", kind) for f, kind in fields.items()}
+        _check(rules, row, f"{path}[{k}]: ", FormatError)
 
 
 def _column_object(group: dict, fields, path, step=1) -> dict:
@@ -158,15 +144,15 @@ def _column_object(group: dict, fields, path, step=1) -> dict:
         col = group[f]
         if not isinstance(col, list):
             raise FormatError(f"{path}.{f} must be a list, got {type(col).__name__}")
-        index = f in _INDEX_FIELDS
+        kind = _KIND[f]
         try:
-            if set(map(type, col)) <= ({int} if index else {int, float}):
-                cols[f] = col if index else np.array(col, dtype=float)
+            if set(map(type, col)) <= ({int} if kind is int else {int, float}):
+                cols[f] = col if kind is int else np.array(col, dtype=float)
                 continue
         except OverflowError:
             pass
         for k, v in enumerate(col):
-            (_integer if index else _number)({f: v}, f, f"{path}[{k * step}]")
+            _typed({f: v}, f, f"{path}[{k * step}]", kind)
     return cols
 
 
@@ -225,9 +211,9 @@ def parse_network(text: str) -> LtcNetwork:
     if not isinstance(doc["neurons"], (list, dict)):
         raise FormatError("neurons must be a list or an object of columns")
     cols = {}
-    for name, fields, kind in _GROUPS:
+    for group, (name, _, _) in enumerate(_GROUPS):
         sizes = set(map(len, cols.values()))  # the neuron count, to a block's rows
-        cols.update(_columns(doc.get(name), fields, kind, name,
+        cols.update(_columns(doc.get(name), group, name,
                              sizes.pop() if len(sizes) == 1 else None))
     try:
         return LtcNetwork.from_arrays(**cols, n_output=doc["n_output"])
@@ -250,8 +236,10 @@ def _fmt(value: float) -> str:
 
 
 def _csv_text(header, rows: np.ndarray) -> str:
-    """CSV with every value at 17 significant digits, bit-exact on read-back."""
-    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows.tolist())]
+    """CSV with every value at 17 significant digits, bit-exact on read-back:
+    ``%.17g`` writes what ``_fmt`` does, one ``%`` a row."""
+    row = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header), *(row % tuple(r) for r in rows.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -17,6 +17,9 @@ Ordering convention: hidden neurons occupy indices 0 .. n_hidden-1 and
 output neurons the last ``n_output`` indices.  Output neurons may only
 receive chemical synapses; any edge leaving an output neuron (including
 gap junctions, which are bidirectional) is rejected.
+
+Every parameter rule (finite values, cm > 0, g_leak >= 0, w >= 0, ...) is
+stated once, in the table ``_GROUPS``, which checks items and columns alike.
 """
 
 from __future__ import annotations
@@ -68,15 +71,66 @@ def expit(x):
     return expit(x)
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+_MAX = float(np.finfo(float).max)  # the largest double
+
+
+def _finite(*fields) -> tuple:
+    """Rules that each of ``fields`` is finite: ``abs(x) <= max`` is False on
+    inf and NaN and, unlike ``x - x == 0``, raises no numpy warning on them."""
+    return tuple((lambda d, f=f: abs(d[f]) <= _MAX, f"{f} must be finite, got {{{f}!r}}")
+                 for f in fields)
+
+
+# The parameter rules of a network, each stated here and nowhere else.  Per
+# item group: its document list name, its fields with their types, and its
+# rules as (test, message) pairs in the order an item is checked.  A test
+# takes the group's fields as a dict of Python numbers (one item) or of numpy
+# columns (the whole group); a message is worded from one item's dict by
+# format_map.  Together the rules keep every tau_i inside
+# [cm/(g_leak + sum w + sum w_hat), cm/(g_leak + sum w_hat)].
+_GROUPS = (
+    ("neurons", dict(cm=float, g_leak=float, v_leak=float), (
+        *_finite("cm", "g_leak", "v_leak"),
+        (lambda d: d["cm"] > 0.0, "cm must be > 0, got {cm}"),
+        (lambda d: d["g_leak"] >= 0.0, "g_leak must be >= 0, got {g_leak}"))),
+    ("chemical_synapses", dict(src=int, dst=int, w=float, gamma=float, mu=float, e_rev=float), (
+        *_finite("w", "gamma", "mu", "e_rev"),
+        (lambda d: (d["src"] >= 0) & (d["dst"] >= 0),
+         "synapse indices must be >= 0, got ({src}, {dst})"),
+        (lambda d: d["w"] >= 0.0, "w must be >= 0, got {w}"),
+        (lambda d: d["gamma"] > 0.0, "gamma must be > 0, got {gamma}"))),
+    ("gap_junctions", dict(a=int, b=int, w_hat=float), (
+        *_finite("w_hat"),
+        (lambda d: (d["a"] >= 0) & (d["b"] >= 0),
+         "junction indices must be >= 0, got ({a}, {b})"),
+        (lambda d: d["a"] != d["b"], "gap junction endpoints must differ, got a == b == {a}"),
+        (lambda d: d["w_hat"] >= 0.0, "w_hat must be >= 0, got {w_hat}"))),
+)
+
+
+def _check(rules, d, prefix="", error=ValueError) -> None:
+    """Raise ``error`` with ``prefix`` and the message of the first rule ``d`` breaks."""
+    for test, message in rules:
+        if not test(d):
+            raise error(prefix + message.format_map(d))
+
+
+class _Item:
+    """Base of the item dataclasses, whose ``_group`` is their ``_GROUPS`` entry."""
+
+    def __post_init__(self):
+        _, types, rules = self._group
+        d = {}  # not self.__dict__, which would cost every item a dict
+        for f, kind in types.items():
+            d[f] = value = getattr(self, f)
+            if type(value) is not kind:  # else kind(value) is value itself
+                d[f] = value = kind(value)
+                object.__setattr__(self, f, value)
+        _check(rules, d)
 
 
 @dataclass(frozen=True)
-class NeuronParams:
+class NeuronParams(_Item):
     """Membrane parameters of one neuron.
 
     ``g_leak == 0`` is admitted so that leakless gap-only networks (used by
@@ -87,18 +141,11 @@ class NeuronParams:
     g_leak: float
     v_leak: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "cm", _require_finite("cm", self.cm))
-        object.__setattr__(self, "g_leak", _require_finite("g_leak", self.g_leak))
-        object.__setattr__(self, "v_leak", _require_finite("v_leak", self.v_leak))
-        if self.cm <= 0:
-            raise ValueError(f"cm must be > 0, got {self.cm}")
-        if self.g_leak < 0:
-            raise ValueError(f"g_leak must be >= 0, got {self.g_leak}")
+    _group = _GROUPS[0]
 
 
 @dataclass(frozen=True)
-class ChemicalSynapse:
+class ChemicalSynapse(_Item):
     """Sigmoid-gated synapse from neuron ``src`` into neuron ``dst``.
 
     Autapses (src == dst) are permitted.
@@ -111,57 +158,28 @@ class ChemicalSynapse:
     mu: float
     e_rev: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "src", int(self.src))
-        object.__setattr__(self, "dst", int(self.dst))
-        for name in ("w", "gamma", "mu", "e_rev"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.src < 0 or self.dst < 0:
-            raise ValueError(f"synapse indices must be >= 0, got ({self.src}, {self.dst})")
-        if self.w < 0:
-            raise ValueError(f"w must be >= 0, got {self.w}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+    _group = _GROUPS[1]
 
 
 @dataclass(frozen=True)
-class GapJunction:
+class GapJunction(_Item):
     """Bidirectional Ohmic coupling between neurons ``a`` and ``b``."""
 
     a: int
     b: int
     w_hat: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", int(self.a))
-        object.__setattr__(self, "b", int(self.b))
-        object.__setattr__(self, "w_hat", _require_finite("w_hat", self.w_hat))
-        if self.a < 0 or self.b < 0:
-            raise ValueError(f"junction indices must be >= 0, got ({self.a}, {self.b})")
-        if self.a == self.b:
-            raise ValueError(f"gap junction endpoints must differ, got a == b == {self.a}")
-        if self.w_hat < 0:
-            raise ValueError(f"w_hat must be >= 0, got {self.w_hat}")
+    _group = _GROUPS[2]
 
 
-_NEURON_FIELDS = ("cm", "g_leak", "v_leak")
-_CHEM_FIELDS = ("src", "dst", "w", "gamma", "mu", "e_rev")
-_GAP_FIELDS = ("a", "b", "w_hat")
-_INDEX_FIELDS = ("src", "dst", "a", "b")
-# (document list name, item fields, item dataclass) for the three item lists
-_GROUPS = (
-    ("neurons", _NEURON_FIELDS, NeuronParams),
-    ("chemical_synapses", _CHEM_FIELDS, ChemicalSynapse),
-    ("gap_junctions", _GAP_FIELDS, GapJunction),
-)
 _ARRAYS = ("_cm", "_g", "_vleak", "_src", "_dst", "_w", "_gamma", "_mu", "_erev",
            "_ga", "_gb", "_gw")
-_ARRAY_OF = dict(zip(_NEURON_FIELDS + _CHEM_FIELDS + _GAP_FIELDS, _ARRAYS))
+_ARRAY_OF = dict(zip((f for _, types, _ in _GROUPS for f in types), _ARRAYS))
 _ACT = ("_asrc", "_agamma", "_amu", "_aw", "_aerev", "_adst")
 
 
-def _column(values, field: str) -> np.ndarray:
-    if field not in _INDEX_FIELDS:
+def _column(values, kind) -> np.ndarray:
+    if kind is float:
         return np.array(values, dtype=float)
     try:
         return np.array(values, dtype=np.intp)
@@ -170,28 +188,18 @@ def _column(values, field: str) -> np.ndarray:
         return np.array([min(max(int(v), -1), big) for v in values], dtype=np.intp)
 
 
-def _reject_first(bad: np.ndarray, group: int, cols) -> None:
-    """Raise the error of the first flagged item, worded by its dataclass."""
-    if bad.any():
-        name, _, item = _GROUPS[group]
-        k = int(np.argmax(bad))
-        try:
-            item(*(c[k].item() for c in cols))
-        except ValueError as exc:
-            raise ValueError(f"{name}[{k}]: {exc}") from None
-
-
 class LtcNetwork:
     """Immutable network: neurons, synapses, junctions and output split.
 
     Output neurons are the last ``n_output`` indices.  Flat parameter
     arrays are the source of truth.  ``LtcNetwork.from_arrays`` validates
-    them (finiteness, signs, index ranges, the feed-forward output rule);
-    the tuple constructor ``LtcNetwork(neurons, chem, gaps, n_output)``
-    converts its dataclass items and calls the same validator.  The
-    ``neurons``, ``chem`` and ``gaps`` tuples are views: the tuples given
-    to the constructor, or built on first access for array-built networks.
-    Equality compares the arrays and ``n_output``.
+    them (the rules of ``_GROUPS`` over whole columns, index ranges, the
+    feed-forward output rule); the tuple constructor
+    ``LtcNetwork(neurons, chem, gaps, n_output)`` converts its dataclass
+    items and calls the same validator.  The ``neurons``, ``chem`` and
+    ``gaps`` tuples are views: the tuples given to the constructor, or
+    built on first access for array-built networks.  Equality compares the
+    arrays and ``n_output``.
     """
 
     def __init__(self, neurons, chem=(), gaps=(), n_output=0):
@@ -212,19 +220,20 @@ class LtcNetwork:
         return net
 
     def _store(self, cols, n_output):
-        arrays = []
-        for name, fields, _ in _GROUPS:
-            group = [_column(cols[f], f) for f in fields]
+        arrays, groups = [], []
+        for name, types, rules in _GROUPS:
+            group = [_column(cols[f], kind) for f, kind in types.items()]
             if any(c.ndim != 1 or c.shape != group[0].shape for c in group):
                 raise ValueError(f"{name} columns must be 1-D and of equal length")
             arrays += group
+            if group[0].size:  # an empty group breaks no rule
+                groups.append((name, rules, dict(zip(types, group))))
+        for name, rules, group in groups:  # each rule over whole columns
+            ok = np.logical_and.reduce([test(group) for test, _ in rules])
+            if not ok.all():  # the first bad item, worded by the same rules
+                k = int(np.argmin(ok))
+                _check(rules, {f: c[k].item() for f, c in group.items()}, f"{name}[{k}]: ")
         cm, g, vleak, src, dst, w, gamma, mu, erev, ga, gb, gw = arrays
-        ok = np.isfinite
-        _reject_first(~(ok(cm) & ok(g) & ok(vleak) & (cm > 0) & (g >= 0)), 0, arrays[0:3])
-        _reject_first(~(ok(w) & ok(gamma) & ok(mu) & ok(erev) & (src >= 0) & (dst >= 0)
-                        & (w >= 0) & (gamma > 0)), 1, arrays[3:9])
-        _reject_first(~(ok(gw) & (ga >= 0) & (gb >= 0) & (ga != gb) & (gw >= 0)), 2,
-                      arrays[9:12])
         size = cm.shape[0]
         n_output = int(n_output)
         if not 0 <= n_output <= size:
@@ -296,8 +305,8 @@ class LtcNetwork:
     def _items(self, group: int) -> tuple:
         """Tuple view of one item list, built on first use."""
         if group not in self._cache:
-            _, fields, item = _GROUPS[group]
-            cols = (getattr(self, _ARRAY_OF[f]).tolist() for f in fields)
+            item = (NeuronParams, ChemicalSynapse, GapJunction)[group]
+            cols = (getattr(self, _ARRAY_OF[f]).tolist() for f in _GROUPS[group][1])
             self._cache[group] = tuple(map(item, *cols))
         return self._cache[group]
 
@@ -329,13 +338,18 @@ class LtcNetwork:
         return self._gw.shape[0]
 
 
+def _state(state, net: LtcNetwork) -> np.ndarray:
+    """``state`` as floats, refused unless it is a vector of one per neuron."""
+    u = np.asarray(state, dtype=float)
+    if u.ndim != 1 or u.shape[0] != net.size:
+        raise DimensionMismatchError(f"state has shape {u.shape}, "
+                                     f"network has {net.size} neurons")
+    return u
+
+
 def validate_state(u, net: LtcNetwork) -> np.ndarray:
     """Coerce ``u`` to a float vector and check length and finiteness."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.ndim != 1 or u.shape[0] != net.size:
-        raise DimensionMismatchError(
-            f"state has shape {u.shape}, network has {net.size} neurons"
-        )
+    u = _state(np.atleast_1d(np.asarray(u, dtype=float)), net)
     if u.size and not np.isfinite(u).all():
         raise ValueError("state contains non-finite entries")
     return u
@@ -363,9 +377,9 @@ def neuron_derivative(i: int, state, net: LtcNetwork) -> float:
     Accumulation order (chemical sum, then gap a-side pass, then b-side
     pass) matches the vectorized ``network_derivative`` exactly.
     """
-    u = np.asarray(state, dtype=float)
     if not 0 <= i < net.size:
         raise IndexError(f"neuron index {i} out of range for {net.size} neurons")
+    u = _state(state, net)
     chem = 0.0
     for syn in net.chem:
         if syn.dst == i:
@@ -437,11 +451,7 @@ def network_derivative(state, net: LtcNetwork) -> np.ndarray:
 
     A huge state may raise numpy's overflow warning: an ``np.errstate`` per
     call would cost ~0.5 us of a ~4 us call, so the solver sets one per run."""
-    u = np.asarray(state, dtype=float)
-    if u.ndim != 1 or u.shape[0] != net.size:
-        raise DimensionMismatchError(
-            f"state has shape {u.shape}, network has {net.size} neurons"
-        )
+    u = _state(state, net)
     wsig = net._aw * _chem_activations(net, u)
     gap = None if net._gw2 is None else net._gw2 * (u[net._gother] - u[net._gself])
     return _inflow(net, net._g * (net._vleak - u),
@@ -457,7 +467,7 @@ def effective_time_constant(i: int, state, net: LtcNetwork) -> float:
     """
     if not 0 <= i < net.size:
         raise IndexError(f"neuron index {i} out of range for {net.size} neurons")
-    u = np.asarray(state, dtype=float)
+    u = _state(state, net)
     # gamma * (v + mu) may overflow to +-inf, whose sigmoid is exactly 1 or 0
     with np.errstate(divide="ignore", over="ignore"):
         loads = _conductance_loads(net, _chem_activations(net, u))

@@ -494,6 +494,14 @@ class TestTrajectoryCsv:
         back = trajectory_from_csv(trajectory_to_csv(traj))
         assert (back.states == vals).all()
 
+    def test_every_value_at_17_digits(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310,
+                 np.finfo(float).max, 1 / 3, 1e16, 0.1 + 0.2, -2.5]
+        rows = np.array([edges, edges[::-1]])
+        header = [f"c{i}" for i in range(len(edges))]
+        lines = [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
+        assert ltcsim.io._csv_text(header, rows) == "\n".join([",".join(header), *lines]) + "\n"
+
     def test_bad_header(self):
         with pytest.raises(FormatError, match="header"):
             trajectory_from_csv("time,v0\n0,1\n")

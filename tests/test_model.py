@@ -1,6 +1,9 @@
 """Model-core: currents, derivatives, effective time constants, topology."""
 
+import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from scipy.special import expit
 
 from ltcsim import (
     ChemicalSynapse,
+    FormatError,
     GapJunction,
     LtcNetwork,
     NeuronParams,
@@ -19,6 +23,7 @@ from ltcsim import (
     gap_current,
     network_derivative,
     neuron_derivative,
+    parse_network,
     sigmoid_activation,
     random_network,
     tau_bounds,
@@ -256,6 +261,19 @@ class TestDerivatives:
         with pytest.raises(DimensionMismatchError):
             network_derivative([0.0, 0.0, 0.0], net)
 
+    @pytest.mark.parametrize("state", [np.zeros(5), np.zeros(1), np.zeros((2, 2))])
+    def test_every_state_function_refuses_wrong_shape(self, state):
+        from ltcsim import DimensionMismatchError, validate_state
+
+        net = two_neuron_chain()
+        calls = [lambda: network_derivative(state, net), lambda: validate_state(state, net),
+                 lambda: neuron_derivative(0, state, net),
+                 lambda: effective_time_constant(0, state, net)]
+        for call in calls:
+            with pytest.raises(DimensionMismatchError,
+                               match=re.escape(f"state has shape {state.shape}, network has 2")):
+                call()
+
 
 class TestEffectiveTimeConstant:
     def test_bare_membrane(self):
@@ -414,3 +432,123 @@ class TestTopologyAndInvariants:
             validate_state([0.1], net)
         with pytest.raises(ValueError, match="finite"):
             validate_state([0.1, np.nan], net)
+
+
+# One network with every item group: 3 neurons (the last an output), the
+# 2 x 3 synapses of a block and 3 gap junctions, as columns.
+RULE_NET = {
+    "neurons": {"cm": [1.0, 2.0, 1.0], "g_leak": [0.5, 1.0, 0.1], "v_leak": [-0.1, 0.2, 0.0]},
+    "chemical_synapses": {"src": [0, 0, 0, 1, 1, 1], "dst": [0, 1, 2] * 2,
+                          "w": [1.5] * 3 + [0.5] * 3, "gamma": [2.0] * 3 + [1.0] * 3,
+                          "mu": [0.1] * 3 + [-0.2] * 3,
+                          "e_rev": [0.8, -0.8, 0.3, 0.2, 0.4, -0.6]},
+    "gap_junctions": {"a": [0, 1, 0], "b": [1, 0, 1], "w_hat": [0.5, 0.25, 0.125]},
+}
+RULE_ITEMS = {"neurons": NeuronParams, "chemical_synapses": ChemicalSynapse,
+              "gap_junctions": GapJunction}
+RULE_INDICES = ("src", "dst", "a", "b")
+# The bad item of each group: synapse 3 is source 1's first, so a block
+# document, which gives w, gamma and mu once per source, names it too.
+RULE_AT = {"neurons": 1, "chemical_synapses": 3, "gap_junctions": 1}
+# One bad value per parameter rule, in the order an item is checked, with
+# the full message of the item's error.
+RULE_CASES = [
+    ("neurons", "cm", math.nan, "cm must be finite, got nan"),
+    ("neurons", "g_leak", math.inf, "g_leak must be finite, got inf"),
+    ("neurons", "v_leak", -math.inf, "v_leak must be finite, got -inf"),
+    ("neurons", "cm", 0.0, "cm must be > 0, got 0.0"),
+    ("neurons", "cm", -0.0, "cm must be > 0, got -0.0"),
+    ("neurons", "g_leak", -0.5, "g_leak must be >= 0, got -0.5"),
+    ("chemical_synapses", "w", math.inf, "w must be finite, got inf"),
+    ("chemical_synapses", "gamma", math.nan, "gamma must be finite, got nan"),
+    ("chemical_synapses", "mu", -math.inf, "mu must be finite, got -inf"),
+    ("chemical_synapses", "e_rev", math.nan, "e_rev must be finite, got nan"),
+    ("chemical_synapses", "src", -1, "synapse indices must be >= 0, got (-1, 0)"),
+    ("chemical_synapses", "dst", -2, "synapse indices must be >= 0, got (1, -2)"),
+    ("chemical_synapses", "w", -0.5, "w must be >= 0, got -0.5"),
+    ("chemical_synapses", "gamma", 0.0, "gamma must be > 0, got 0.0"),
+    ("chemical_synapses", "gamma", -0.5, "gamma must be > 0, got -0.5"),
+    ("gap_junctions", "w_hat", math.nan, "w_hat must be finite, got nan"),
+    ("gap_junctions", "a", -1, "junction indices must be >= 0, got (-1, 0)"),
+    ("gap_junctions", "b", -3, "junction indices must be >= 0, got (1, -3)"),
+    ("gap_junctions", "b", 1, "gap junction endpoints must differ, got a == b == 1"),
+    ("gap_junctions", "w_hat", -0.5, "w_hat must be >= 0, got -0.5"),
+]
+
+
+class TestParameterRules:
+    """Every parameter rule's error, word for word, from each way a network
+    is built: an item, columns, and the three network document layouts."""
+
+    @pytest.mark.parametrize("group, field, value, message", RULE_CASES)
+    def test_rule_message_on_every_path(self, group, field, value, message):
+        k = RULE_AT[group]
+        cols = {name: {f: list(col) for f, col in fields.items()}
+                for name, fields in RULE_NET.items()}
+        cols[group][field][k] = value
+        with pytest.raises(ValueError) as exc:
+            RULE_ITEMS[group](**{f: col[k] for f, col in cols[group].items()})
+        assert str(exc.value) == message
+        flat = {f: col for fields in cols.values() for f, col in fields.items()}
+        with pytest.raises(ValueError) as exc:
+            LtcNetwork.from_arrays(**flat, n_output=1)
+        assert str(exc.value) == f"{group}[{k}]: {message}"
+        if not math.isfinite(value):  # JSON has no such number
+            return
+        items = {name: [dict(zip(fields, row)) for row in zip(*fields.values())]
+                 for name, fields in cols.items()}
+        docs = [dict(items, n_output=1), dict(cols, n_output=1)]
+        # a type error in the group's last item sends it through the per-item checks
+        typed = dict(items, n_output=1, **{group: [dict(x) for x in items[group]]})
+        typed[group][-1][field] = "x"
+        docs.append(typed)
+        if field not in ("src", "dst", "e_rev"):  # a block gives w, gamma, mu per source
+            syn = RULE_NET["chemical_synapses"]
+            block = {f: syn[f][::3] for f in ("w", "gamma", "mu")}
+            block["e_rev"] = [syn["e_rev"][:3], syn["e_rev"][3:]]
+            if group == "chemical_synapses":
+                block[field][1] = value
+            docs.append(dict(cols, chemical_synapses=block, n_output=1))
+        for doc in docs:
+            with pytest.raises(FormatError) as exc:
+                parse_network(json.dumps(doc))
+            assert str(exc.value) == f"{group}[{k}]: {message}"
+
+    @given(st.data())
+    def test_columns_checked_as_items(self, data):
+        # n_output 0 and indices below size: only a parameter rule can fail
+        size = data.draw(st.integers(1, 4))
+        index = st.integers(-2, size - 1)
+        good = st.floats(0.25, 4.0)
+        bad = st.sampled_from([math.nan, math.inf, -math.inf, -0.5, 0.0, -0.0, -5e-324,
+                               5e-324, 1e308]) | st.floats()
+        cols = {}
+        for name, n in (("neurons", size), ("chemical_synapses", data.draw(st.integers(0, 6))),
+                        ("gap_junctions", data.draw(st.integers(0, 4)))):
+            fields = RULE_NET[name]
+            cols[name] = {f: data.draw(st.lists(index if f in RULE_INDICES else good,
+                                                min_size=n, max_size=n)) for f in fields}
+            if n:
+                for f, k, value in data.draw(st.lists(st.tuples(
+                        st.sampled_from([f for f in fields if f not in RULE_INDICES]),
+                        st.integers(0, n - 1), bad), max_size=3)):
+                    cols[name][f][k] = value
+        expected = None
+        for name, fields in cols.items():
+            for k, row in enumerate(zip(*fields.values())):
+                try:
+                    RULE_ITEMS[name](*row)
+                except ValueError as exc:
+                    expected = f"{name}[{k}]: {exc}"
+                    break
+            if expected:
+                break
+        flat = {f: col for fields in cols.values() for f, col in fields.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if expected is None:
+                LtcNetwork.from_arrays(**flat, n_output=0)
+            else:
+                with pytest.raises(ValueError) as exc:
+                    LtcNetwork.from_arrays(**flat, n_output=0)
+                assert str(exc.value) == expected
