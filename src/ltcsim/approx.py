@@ -182,9 +182,10 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances between the rows of ``a`` and of ``b``, summing squared
     differences axis by axis in the order ``cdist`` does for d <= 3."""
     sq = 0.0
-    for k in range(a.shape[1]):
-        diff = a[:, None, k] - b[None, :, k]
-        sq = sq + diff * diff
+    with np.errstate(over="ignore", invalid="ignore"):  # huge values give inf or nan
+        for k in range(a.shape[1]):
+            diff = a[:, None, k] - b[None, :, k]
+            sq = sq + diff * diff
     return np.sqrt(sq)
 
 
@@ -224,8 +225,6 @@ def fit_feedforward(
     ridge solution on a Halton sample of the domain; the reported sup
     error is measured on a held-out regular grid.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     if n_features < 1:
         raise ValueError(f"n_features must be >= 1, got {n_features}")
     if n_samples < 1:
@@ -252,13 +251,18 @@ def fit_feedforward(
     targets = _field_values(fld, samples)
     hidden = model.expit(samples @ projection.T + bias)
     gram = hidden.T @ hidden + ridge * np.eye(n_features)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge targets give inf or nan
+        rhs = hidden.T @ targets
+    # cholesky reads one triangle of gram and solve checks nothing: refuse inf and nan here
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
     try:
-        factor = cho_factor(gram)
-    except np.linalg.LinAlgError as exc:  # the class scipy.linalg raises
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:  # gram is not positive definite
         raise RankDeficiencyError(
             "normal equations are singular; use ridge > 0 to regularize"
         ) from exc
-    readout = cho_solve(factor, hidden.T @ targets).T
+    readout = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs)).T
 
     grid = _validation_grid(fld)
     truth = _field_values(fld, grid)
@@ -294,7 +298,8 @@ def estimate_lipschitz(fld: VectorField) -> float:
     va = _field_values(fld, xa)
     vb = _field_values(fld, xb)
     dx = np.linalg.norm(xa - xb, axis=1)
-    dv = np.linalg.norm(va - vb, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge values give inf or nan
+        dv = np.linalg.norm(va - vb, axis=1)
     mask = dx > 0
     return float(np.max(dv[mask] / dx[mask]))
 

@@ -47,9 +47,12 @@ __all__ = [
 
 
 _EXP_MAX = 709.782712893384  # the largest double whose exp is finite
-# Sigmoid work (values plus 32 a call) done with math.exp, at 70-130 ns a value,
-# before scipy.special's 0.25-0.3 s import pays; numpy's exp differs in the last bit.
-_LIBM_BUDGET = 2**18
+# Sigmoid work (values plus 32 a call) done with math.exp before importing
+# scipy.special: that import costs about 0.24 s with numpy loaded and math.exp
+# about 110 ns a value, so it pays after 0.24 s / 110 ns = 2.2e6, about 2**21,
+# units.  `approximate` with 256 features and 1,024 samples spends about
+# 771,000.  numpy's exp differs in the last bit.
+_LIBM_BUDGET = 2**21
 _libm_spent = 0
 
 
@@ -183,9 +186,8 @@ def _column(values, kind) -> np.ndarray:
         return np.array(values, dtype=float)
     try:
         return np.array(values, dtype=np.intp)
-    except OverflowError:  # beyond intp: clamp; the range checks still reject it
-        big = np.iinfo(np.intp).max
-        return np.array([min(max(int(v), -1), big) for v in values], dtype=np.intp)
+    except OverflowError:  # beyond intp: Python ints, which the index checks reject
+        return np.array([int(v) for v in values], dtype=object)
 
 
 class LtcNetwork:
@@ -232,7 +234,7 @@ class LtcNetwork:
             ok = np.logical_and.reduce([test(group) for test, _ in rules])
             if not ok.all():  # the first bad item, worded by the same rules
                 k = int(np.argmin(ok))
-                _check(rules, {f: c[k].item() for f, c in group.items()}, f"{name}[{k}]: ")
+                _check(rules, {f: c.item(k) for f, c in group.items()}, f"{name}[{k}]: ")
         cm, g, vleak, src, dst, w, gamma, mu, erev, ga, gb, gw = arrays
         size = cm.shape[0]
         n_output = int(n_output)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 from scipy.special import expit
 from scipy.stats import qmc
@@ -43,7 +44,9 @@ from ltcsim import (
     realize_as_ltc,
     simulate,
 )
-from ltcsim.approx import _SLOPE_ROWS, _halton, _max_slope, _pairwise_distances
+from ltcsim.approx import (
+    _SLOPE_ROWS, _halton, _max_slope, _pairwise_distances, _validation_grid,
+)
 from helpers import realized_network, rotation_field
 from test_solver import one_step, semi_implicit_step
 from test_verification import entry_bits, per_row_monitor
@@ -147,6 +150,30 @@ class TestFit:
     def test_rank_deficiency_at_zero_ridge(self):
         with pytest.raises(RankDeficiencyError, match="ridge"):
             fit_feedforward(neg_field(), 8, 3, 0.0, 0)
+
+    @pytest.mark.parametrize("n_features", [32, 64, 256])
+    def test_ridge_solve_agrees_with_scipy(self, n_features):
+        # The Gram matrix's condition number is about 1e12, so round-off
+        # fixes the readout only to about 1e-4 of its size: scipy's upper and
+        # lower factors already give readouts that far apart.  The fit's
+        # readout must stay within a few times that spread of cho_solve's, and
+        # its field on the validation grid, which those directions barely
+        # move, within 1e-8 of the largest value.
+        rot = rotation_field()
+        fit = fit_feedforward(rot, n_features, seed=7)
+        lo, hi = rot.domain[:, 0], rot.domain[:, 1]
+        samples = lo + qmc.Halton(d=2, scramble=False).random(1024) * (hi - lo)
+        hidden = expit(samples @ fit.projection_matrix.T + fit.bias)
+        gram = hidden.T @ hidden + 1e-8 * np.eye(n_features)
+        rhs = hidden.T @ np.array([rot(x) for x in samples])
+        upper = cho_solve(cho_factor(gram), rhs).T
+        lower = cho_solve(cho_factor(gram, lower=True), rhs).T
+        spread = np.max(np.abs(lower - upper))
+        assert np.max(np.abs(fit.readout_matrix - upper)) <= 4 * spread
+        grid = _validation_grid(rot)
+        want = expit(grid @ fit.projection_matrix.T + fit.bias) @ upper.T
+        np.testing.assert_allclose(feedforward_eval(fit, grid), want,
+                                   rtol=0, atol=1e-8 * np.max(np.abs(want)))
 
     def test_ridge_local_optimality(self):
         # perturbing single readout entries never lowers the training loss

@@ -331,6 +331,19 @@ class TestErrorPaths:
         assert err.startswith("ERROR numeric: t_end / dt must be at most 2**50 steps, "
                               "got 1e+300 / ")
 
+    @pytest.mark.parametrize("field, domain, x0", [
+        ("1e308*x1;x2", "-1.5:1.5,-1.5:1.5", "1,0"),  # Lipschitz estimate on the grid
+        ("1e308*x1;x2;x3;x4", "-1.5:1.5,-1.5:1.5,-1:1,-1:1", "1,0,0,0"),  # on random pairs
+    ], ids=["2-D", "4-D"])
+    def test_overflowing_field_first_line_is_error(self, field, domain, x0):
+        # the overflow is reported as the error, not first as numpy warnings
+        out = subprocess.run(
+            [sys.executable, "-m", "ltcsim", "approximate", "--field", field, "--domain", domain,
+             "--x0", x0, "--horizon", "0.2", "--features", "16"],
+            capture_output=True, text=True, env=subprocess_env())
+        assert out.returncode == 3
+        assert out.stderr.splitlines()[0] == "ERROR numeric: array must not contain infs or NaNs"
+
     def test_divergence_numeric(self, capsys, net_file, tmp_path):
         code, _, err = run(capsys, "simulate", "--net", net_file,
                            "--init", "1.0", "--dt", "1000", "--t-end", "1000000",
@@ -541,8 +554,9 @@ def realized_64(tmp_path_factory):
 
 
 def test_scipy_loaded_only_where_called(tmp_path, realized_64):
-    # import ltcsim, bounds, simulate and verify stay within the math.exp
-    # sigmoid's budget, so they load no scipy module
+    # import ltcsim, bounds, simulate and verify, and on its own an approximate
+    # with 256 features and 1,024 samples, stay within the math.exp sigmoid's
+    # budget and fit without scipy, so they load no scipy module
     net = str(tmp_path / "net.json")
     with open(net, "w") as fh:
         fh.write(serialize_network(two_neuron_chain()))
@@ -551,20 +565,25 @@ def test_scipy_loaded_only_where_called(tmp_path, realized_64):
               "--t-end", "0.1", "--out", str(tmp_path / "traj.csv")],
              ["verify", "--net", net, "--traj", str(tmp_path / "traj.csv")]]
     realized = [realized_64[k] for k in ("bounds", "semi-implicit", "rk4", "verify")]
-    code = f"""
+    approximate = [["approximate", "--field", "x2;-x1", "--domain", "-1.5:1.5,-1.5:1.5",
+                    "--x0", "1,0", "--horizon", "0.2", "--features", "256", "--seed", "7",
+                    "--out-net", str(tmp_path / "approx.json"),
+                    "--out-traj", str(tmp_path / "pair.csv")]]
+    code = """
 import contextlib, io, json, sys
 import ltcsim
 from ltcsim.cli import cli_dispatch
 seen = [sorted(m for m in sys.modules if m.startswith("scipy"))]
-for argv in {chain + realized!r}:
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli_dispatch(argv) == 0
     seen.append(sorted(m for m in sys.modules if m.startswith("scipy")))
 print(json.dumps(seen))
 """
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=subprocess_env())
-    assert json.loads(out.stdout) == [[]] * 8
+    for argvs in (chain + realized, approximate):
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                             text=True, check=True, env=subprocess_env())
+        assert json.loads(out.stdout) == [[]] * (len(argvs) + 1)
 
 
 def test_sigmoid_budget_spent_imports_scipy():
@@ -573,7 +592,7 @@ import sys
 import numpy as np
 import ltcsim.model as model
 assert not [m for m in sys.modules if m.startswith("scipy")]
-model.expit(np.zeros(2**18))
+model.expit(np.zeros(model._LIBM_BUDGET))
 import scipy.special
 print(model.expit is scipy.special.expit)
 """
@@ -585,7 +604,7 @@ print(model.expit is scipy.special.expit)
 def test_sigmoid_paths_write_same_files(capsys, realized_64):
     # fresh processes stay on the math.exp sigmoid; this one has spent its
     # budget, so it runs scipy's expit
-    model.expit(np.zeros(2**18))
+    model.expit(np.zeros(model._LIBM_BUDGET))
     assert model.expit is scipy.special.expit
     argv, traj = realized_64, Path(realized_64["verify"][-1])
     for method in ("semi-implicit", "rk4"):

@@ -465,12 +465,16 @@ RULE_CASES = [
     ("chemical_synapses", "e_rev", math.nan, "e_rev must be finite, got nan"),
     ("chemical_synapses", "src", -1, "synapse indices must be >= 0, got (-1, 0)"),
     ("chemical_synapses", "dst", -2, "synapse indices must be >= 0, got (1, -2)"),
+    ("chemical_synapses", "src", -10**30,  # beyond intp: still worded as given
+     "synapse indices must be >= 0, got (-1000000000000000000000000000000, 0)"),
     ("chemical_synapses", "w", -0.5, "w must be >= 0, got -0.5"),
     ("chemical_synapses", "gamma", 0.0, "gamma must be > 0, got 0.0"),
     ("chemical_synapses", "gamma", -0.5, "gamma must be > 0, got -0.5"),
     ("gap_junctions", "w_hat", math.nan, "w_hat must be finite, got nan"),
     ("gap_junctions", "a", -1, "junction indices must be >= 0, got (-1, 0)"),
     ("gap_junctions", "b", -3, "junction indices must be >= 0, got (1, -3)"),
+    ("gap_junctions", "b", -10**30,
+     "junction indices must be >= 0, got (1, -1000000000000000000000000000000)"),
     ("gap_junctions", "b", 1, "gap junction endpoints must differ, got a == b == 1"),
     ("gap_junctions", "w_hat", -0.5, "w_hat must be >= 0, got -0.5"),
 ]
