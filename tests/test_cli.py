@@ -22,11 +22,13 @@ from ltcsim import (
     PipelineConfig,
     Trajectory,
     approximate_trajectory,
+    parse_field,
     parse_network,
     read_trajectory,
     serialize_network,
     trajectory_to_csv,
 )
+import ltcsim.approx
 from ltcsim import model
 from ltcsim.cli import cli_dispatch
 from ltcsim.io import _fmt
@@ -507,6 +509,59 @@ class TestApproximate:
         approximate(outputs("fresh"))
         for again, fresh in zip(outputs("a"), outputs("fresh")):
             assert again.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("field, domain, horizon, features, tau, wl, verdicts", [
+        # the cli-files settings: the bias leakage breaks condition (b)
+        ("x2;-x1", "-1.5:1.5,-1.5:1.5", 0.2, 256, 100.0, 1e-4, ("PASS", "FAIL", "PASS")),
+        # the same with a slower base rate: every condition passes
+        ("x2;-x1", "-1.5:1.5,-1.5:1.5", 0.2, 256, 1e4, 1e-6, ("PASS", "PASS", "PASS")),
+        # test_stiff_field_exits_zero's field: exp(l_gtilde * horizon) overflows
+        ("x2;(1 - x1^2)*x2 - x1", "-2.5:2.5,-3:3", 0.5, 16, 100.0, 1e-4,
+         ("FAIL", "FAIL", "PASS")),
+    ])
+    def test_report_lines_pinned(self, capsys, field, domain, horizon, features, tau, wl,
+                                 verdicts):
+        # every line of the report, against the library's values for the same
+        # inputs in this process (their digits depend on the BLAS threads)
+        code, out, _ = run(capsys, "approximate", "--field", field, "--domain", domain,
+                           "--x0", "1,0", "--horizon", repr(horizon), "--features",
+                           str(features), "--seed", "7", "--tau", repr(tau), "--wl", repr(wl))
+        assert code == 0
+        box = [[float(v) for v in axis.split(":")] for axis in domain.split(",")]
+        rep = approximate_trajectory(parse_field(field.split(";"), box), [1.0, 0.0], horizon,
+                                     PipelineConfig(n_features=features, seed=7, tau_base=tau,
+                                                    w_l=wl))
+        system, eta, l_gt = rep.system, rep.eta, rep.l_gtilde
+        # the margins, worked out here from the report's own values
+        tau_min = 1.0 / (1.0 / tau + wl)
+        edges = np.array(box)
+        lo, hi = edges[:, 0] - eta, edges[:, 1] + eta
+        margin_a = rep.epsilon_l / 2.0 - float(np.sqrt(np.sum(np.maximum(lo**2, hi**2)))) / tau_min
+        bias = (ltcsim.approx._error_budget(eta, l_gt, horizon)
+                - float(np.linalg.norm(system.bias)) / tau_min)
+        rate = l_gt / 2.0 - 1.0 / tau_min
+        tau_wl = 0.01 - tau * wl
+        words = tuple("PASS" if ok else "FAIL"
+                      for ok in (margin_a > 0, bias > 0 and rate > 0, tau_wl >= 0))
+        assert words == verdicts
+        assert out.splitlines() == [
+            "approximation report",
+            "  field dim      n = 2",
+            f"  features       N = {features}",
+            "  seed           7",
+            f"  tau            {_fmt(tau)}",
+            f"  w_l            {_fmt(wl)}",
+            f"  fit sup_error  {_fmt(rep.fitted.sup_error)}",
+            f"  lipschitz_f    {_fmt(rep.lipschitz_f)}",
+            f"  l_gtilde       {_fmt(l_gt)}",
+            f"  eta            {_fmt(eta)}",
+            f"  epsilon_l      {_fmt(rep.epsilon_l)}",
+            f"  tau_sys range  [{_fmt(tau_min)}, {_fmt(tau)}]",
+            f"  condition_a    {words[0]}  margin={_fmt(margin_a)}",
+            f"  condition_b    {words[1]}  bias_margin={_fmt(bias)} rate_margin={_fmt(rate)}",
+            f"  tau_wl         {words[2]}  margin={_fmt(tau_wl)}",
+            f"sup_traj_error = {_fmt(rep.sup_traj_error)}",
+        ]
 
     def test_stiff_field_exits_zero(self, capsys):
         # exp(l_gtilde * horizon) overflows here; the conditions report FAIL
