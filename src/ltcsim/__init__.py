@@ -5,7 +5,6 @@ from .approx import (
     AugmentedSystem,
     FeedForwardApprox,
     PipelineConfig,
-    TauConditions,
     VectorField,
     approximate_trajectory,
     assemble_augmented_system,

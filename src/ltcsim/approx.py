@@ -44,7 +44,6 @@ __all__ = [
     "VectorField",
     "FeedForwardApprox",
     "AugmentedSystem",
-    "TauConditions",
     "PipelineConfig",
     "ApproximationReport",
     "fit_feedforward",
@@ -339,6 +338,12 @@ class AugmentedSystem:
         # the constructor stays permissive so check_tau_conditions can
         # describe failing parameter triples.
 
+    @property
+    def tau_sys_range(self) -> tuple[float, float]:
+        """The system time constant's (smallest, largest) values, 1/(1/tau + w_l)
+        with every activation at 1 and tau with every activation at 0."""
+        return 1.0 / (1.0 / self.tau_base + self.w_l), self.tau_base
+
 
 def assemble_augmented_system(
     fit: FeedForwardApprox,
@@ -404,35 +409,6 @@ def estimate_gtilde_lipschitz(system: AugmentedSystem) -> float:
     return float(np.linalg.norm(drive, 2) * 0.25 * 2.0)
 
 
-@dataclass
-class TauConditions:
-    """Worst-case checks on the system time constant, with margins.
-
-    All checks use tau_sys_min = 1/(1/tau + w_l), the smallest time
-    constant the state-dependent decay can reach (activations at 1);
-    tau_sys_max = tau corresponds to activations at 0.
-    """
-
-    margin_a: float
-    margin_b_bias: float
-    margin_b_rate: float
-    margin_tau_wl: float
-    tau_sys_min: float
-    tau_sys_max: float
-
-    @property
-    def ok_a(self) -> bool:
-        return self.margin_a > 0
-
-    @property
-    def ok_b(self) -> bool:
-        return self.margin_b_bias > 0 and self.margin_b_rate > 0
-
-    @property
-    def ok_tau_wl(self) -> bool:
-        return self.margin_tau_wl >= 0
-
-
 def _error_budget(eta: float, lipschitz: float, horizon: float) -> float:
     """Perturbation budget eta L / (2 (exp(L T) - 1)), eta / (2 T) at L = 0.
 
@@ -454,40 +430,34 @@ def check_tau_conditions(
     eta: float,
     l_gtilde: float,
     horizon: float,
-) -> TauConditions:
-    """Evaluate the largeness conditions on the system time constant.
+) -> list:
+    """The largeness conditions on the system time constant, as report rows
+    (name, PASS as a bool, ((margin name, margin), ...)), in report order.
 
-    (a) the decay perturbation |x| / tau_sys stays below epsilon_l / 2 on
-    the eta-fattened domain; (b) the bias leakage |mu| / tau_sys stays
-    below the perturbation budget eta L / (2 (exp(L T) - 1)) and the decay
-    rate below L / 2.  The fixed smallness bound tau * w_l <= 0.01 is
-    reported alongside.
+    Each uses the smallest time constant the decay can reach: (a) the
+    decay perturbation |x| / tau_sys stays below epsilon_l / 2 on the
+    eta-fattened domain; (b) the bias leakage |mu| / tau_sys stays below
+    the perturbation budget eta L / (2 (exp(L T) - 1)) and the decay rate
+    below L / 2.  The fixed smallness bound tau * w_l <= 0.01 is reported
+    alongside.
     """
     box = np.asarray(domain, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
         raise ValueError(f"domain must be an (n, 2) box, got shape {box.shape}")
-    tau_sys_min = 1.0 / (1.0 / system.tau_base + system.w_l)
-    tau_sys_max = system.tau_base
+    tau_sys_min = system.tau_sys_range[0]
     lo = box[:, 0] - eta
     hi = box[:, 1] + eta
     max_norm = float(np.sqrt(np.sum(np.maximum(lo**2, hi**2))))
-    lhs_a = max_norm / tau_sys_min
-    margin_a = epsilon_l / 2.0 - lhs_a
-
+    margin_a = epsilon_l / 2.0 - max_norm / tau_sys_min
     mu_norm = float(np.linalg.norm(system.bias))
-    margin_b_bias = _error_budget(eta, l_gtilde, horizon) - mu_norm / tau_sys_min
-    margin_b_rate = l_gtilde / 2.0 - 1.0 / tau_sys_min
-
-    tau_wl = system.tau_base * system.w_l
-    margin_tau_wl = 0.01 - tau_wl
-    return TauConditions(
-        margin_a=margin_a,
-        margin_b_bias=margin_b_bias,
-        margin_b_rate=margin_b_rate,
-        margin_tau_wl=margin_tau_wl,
-        tau_sys_min=tau_sys_min,
-        tau_sys_max=tau_sys_max,
-    )
+    bias = _error_budget(eta, l_gtilde, horizon) - mu_norm / tau_sys_min
+    rate = l_gtilde / 2.0 - 1.0 / tau_sys_min
+    margin_tau_wl = 0.01 - system.tau_base * system.w_l
+    return [
+        ("condition_a", margin_a > 0, (("margin", margin_a),)),
+        ("condition_b", bias > 0 and rate > 0, (("bias_margin", bias), ("rate_margin", rate))),
+        ("tau_wl", margin_tau_wl >= 0, (("margin", margin_tau_wl),)),
+    ]
 
 
 def realize_as_ltc(system: AugmentedSystem) -> LtcNetwork:
@@ -569,7 +539,7 @@ class ApproximationReport:
     sup_traj_error: float
     fitted: FeedForwardApprox
     system: AugmentedSystem
-    conditions: TauConditions
+    conditions: list  # check_tau_conditions' rows
     lipschitz_f: float
     l_gtilde: float
     epsilon_l: float

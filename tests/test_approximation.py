@@ -26,7 +26,6 @@ from ltcsim import (
     RankDeficiencyError,
     RealizationError,
     SolverConfig,
-    TauConditions,
     Trajectory,
     VectorField,
     approximate_trajectory,
@@ -45,7 +44,7 @@ from ltcsim import (
     simulate,
 )
 from ltcsim.approx import (
-    _SLOPE_ROWS, _halton, _max_slope, _pairwise_distances, _validation_grid,
+    _SLOPE_ROWS, _error_budget, _halton, _max_slope, _pairwise_distances, _validation_grid,
 )
 from helpers import realized_network, rotation_field
 from test_solver import one_step, semi_implicit_step
@@ -360,53 +359,80 @@ class TestAssemble:
         assert traj.states[-1] == pytest.approx(z_star, abs=1e-3)
 
 
+def conditions(rows) -> dict:
+    """check_tau_conditions' rows as {name: (ok, {margin name: margin})}."""
+    return {name: (ok, dict(margins)) for name, ok, margins in rows}
+
+
+def unit_system(bias=0.0, tau=1.0, w_l=1.0) -> AugmentedSystem:
+    """n = N = 1 with no drive: tau_sys_min is 0.5 at the default tau and w_l."""
+    return AugmentedSystem(
+        n=1, N=1, readout_block=np.zeros((1, 1)), hidden_block=np.zeros((1, 1)),
+        bias=np.array([bias]), resting_aug=np.zeros(2), tau_base=tau, w_l=w_l,
+    )
+
+
 class TestTauConditions:
     def test_huge_tau_all_pass(self):
         rng = np.random.default_rng(4)
         fit = random_fit(rng, 2, 4)
         system = assemble_augmented_system(fit, 1e9, 1e-12)
         l_gt = estimate_gtilde_lipschitz(system)
-        cond = check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1, l_gt, 1.0)
-        assert cond.ok_a and cond.ok_b and cond.ok_tau_wl
+        rows = check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1, l_gt, 1.0)
+        assert [(name, ok) for name, ok, _ in rows] == [
+            ("condition_a", True), ("condition_b", True), ("tau_wl", True)]
 
     def test_small_tau_fails_condition_a(self):
-        system = AugmentedSystem(
-            n=1, N=1, readout_block=np.zeros((1, 1)), hidden_block=np.zeros((1, 1)),
-            bias=np.zeros(1), resting_aug=np.zeros(2), tau_base=1.0, w_l=1.0,
-        )
-        cond = check_tau_conditions(system, [[-1.0, 1.0]], 0.1, 0.0, 1.0, 1.0)
-        assert not cond.ok_a
+        system = unit_system()
+        assert system.tau_sys_range == (0.5, 1.0)
+        cond = conditions(check_tau_conditions(system, [[-1.0, 1.0]], 0.1, 0.0, 1.0, 1.0))
+        assert not cond["condition_a"][0]
         # |x| / tau_sys_min = 1 / 0.5 = 2, budget epsilon_l / 2 = 0.05
-        assert cond.margin_a == pytest.approx(0.05 - 2.0)
-        assert not cond.ok_tau_wl
+        assert cond["condition_a"][1]["margin"] == pytest.approx(0.05 - 2.0)
+        assert not cond["tau_wl"][0]
 
     def test_flags_follow_margins_at_zero(self):
         # tau * w_l == 0.01 exactly, as with the CLI defaults: a zero margin passes
         system = assemble_augmented_system(random_fit(np.random.default_rng(4), 2, 4),
                                            100.0, 1e-4)
-        cond = check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1, 1.0, 1.0)
-        assert cond.margin_tau_wl == 0.0 and cond.ok_tau_wl
-        # conditions (a) and (b) need strictly positive margins
-        cond = TauConditions(margin_a=0.0, margin_b_bias=0.0, margin_b_rate=1.0,
-                             margin_tau_wl=-1e-300, tau_sys_min=1.0, tau_sys_max=1.0)
-        assert not cond.ok_a and not cond.ok_b and not cond.ok_tau_wl
-        cond.margin_a = cond.margin_b_bias = 5e-324
-        assert cond.ok_a and cond.ok_b
-        cond.margin_b_rate = 0.0
-        assert not cond.ok_b
+        cond = conditions(check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1, 1.0, 1.0))
+        assert cond["tau_wl"] == (True, {"margin": 0.0})
+        cond = conditions(check_tau_conditions(unit_system(tau=1.0, w_l=np.nextafter(0.01, 1)),
+                                               [[-1.0, 1.0]], 0.1, 0.0, 1.0, 1.0))
+        assert not cond["tau_wl"][0] and cond["tau_wl"][1]["margin"] < 0
+        # conditions (a) and (b) need strictly positive margins.  On [-0.5, 0.5]
+        # widened by eta 0.5, |x| / tau_sys_min = 2 and 1 / tau_sys_min = 2.
+        tiny_eps, tiny_l = np.nextafter(4.0, 5.0), np.nextafter(4.0, 5.0)
+        cases = [
+            (unit_system(), 4.0, 4.0, (False, False), ["margin", "rate_margin"]),
+            (unit_system(), tiny_eps, tiny_l, (True, True), []),
+            # the bias leakage |mu| / tau_sys_min equals the budget
+            (unit_system(bias=0.5 * _error_budget(0.5, tiny_l, 1.0)), tiny_eps, tiny_l,
+             (True, False), ["bias_margin"]),
+        ]
+        for system, epsilon_l, l_gt, flags, zero in cases:
+            cond = conditions(check_tau_conditions(system, [[-0.5, 0.5]], epsilon_l, 0.5,
+                                                   l_gt, 1.0))
+            assert (cond["condition_a"][0], cond["condition_b"][0]) == flags
+            margins = {**cond["condition_a"][1], **cond["condition_b"][1]}
+            assert [k for k, m in margins.items() if m == 0.0] == zero
+            assert all(m > 0 for k, m in margins.items() if k not in zero)
 
     def test_budget_overflow_fails_condition_b(self):
         # exp(l_gtilde * horizon) overflows: the budget is 0.0, not an error
         rng = np.random.default_rng(8)
         system = assemble_augmented_system(random_fit(rng, 2, 4), 100.0, 1e-4)
-        cond = check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1, 5e3, 2.0)
+        tau_sys_min = system.tau_sys_range[0]
+        ok, margins = conditions(
+            check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1, 5e3, 2.0))["condition_b"]
         mu_norm = float(np.linalg.norm(system.bias))
-        assert not cond.ok_b
-        assert cond.margin_b_bias == -mu_norm / cond.tau_sys_min
+        assert not ok
+        assert margins["bias_margin"] == -mu_norm / tau_sys_min
         # below the overflow the formula is unchanged bit for bit
-        cond = check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1, 300.0, 2.0)
+        ok, margins = conditions(
+            check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1, 300.0, 2.0))["condition_b"]
         budget = 0.1 * 300.0 / (2.0 * math.expm1(300.0 * 2.0))
-        assert cond.margin_b_bias == budget - mu_norm / cond.tau_sys_min
+        assert margins["bias_margin"] == budget - mu_norm / tau_sys_min
 
     def test_stiff_field_pipeline_finishes(self):
         vdp = VectorField(2, lambda x: np.array([x[1], (1 - x[0] ** 2) * x[1] - x[0]]),
@@ -415,23 +441,20 @@ class TestTauConditions:
                                         PipelineConfig(n_features=16))
         assert report.l_gtilde * 0.5 > 710  # past the float range of exp
         assert math.isfinite(report.sup_traj_error)
-        assert not report.conditions.ok_b
+        assert not conditions(report.conditions)["condition_b"][0]
 
     def test_margins_improve_with_tau(self):
         rng = np.random.default_rng(5)
         fit = random_fit(rng, 2, 4)
-        margins_a, margins_bias, margins_rate = [], [], []
+        margins = []
         for tau in (10.0, 100.0, 1000.0):
             system = assemble_augmented_system(fit, tau, 0.01 / tau)
             l_gt = estimate_gtilde_lipschitz(system)
-            cond = check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1,
-                                        l_gt, 1.0)
-            margins_a.append(cond.margin_a)
-            margins_bias.append(cond.margin_b_bias)
-            margins_rate.append(cond.margin_b_rate)
-        assert margins_a[0] < margins_a[1] < margins_a[2]
-        assert margins_bias[0] < margins_bias[1] < margins_bias[2]
-        assert margins_rate[0] < margins_rate[1] < margins_rate[2]
+            rows = check_tau_conditions(system, [[-1, 1], [-1, 1]], 0.1, 0.1, l_gt, 1.0)
+            margins.append([v for _, _, named in rows[:2] for _, v in named])
+        # margin_a, bias_margin and rate_margin each grow with tau
+        for a, b, c in zip(*margins):
+            assert a < b < c
 
 
 class TestRealize:
@@ -601,7 +624,7 @@ class TestPipeline:
                                         PipelineConfig(n_features=16, seed=3))
         assert report.sup_traj_error < 0.1
         assert report.lipschitz_f == pytest.approx(1.0, rel=0.02)
-        assert report.conditions.ok_tau_wl
+        assert conditions(report.conditions)["tau_wl"][0]
         assert report.network.n_output == 2
         assert report.times.shape[0] == report.reference_states.shape[0]
 

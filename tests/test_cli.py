@@ -563,6 +563,21 @@ class TestApproximate:
             f"sup_traj_error = {_fmt(rep.sup_traj_error)}",
         ]
 
+    def test_fourth_row_printed_by_the_cli(self, capsys, monkeypatch):
+        # the CLI prints whatever rows the check returns, each the same way
+        check = ltcsim.approx.check_tau_conditions
+
+        def with_extra_row(*args):
+            return [*check(*args), ("condition_x", False, (("margin", -1.0), ("slack", 0.5)))]
+
+        monkeypatch.setattr(ltcsim.approx, "check_tau_conditions", with_extra_row)
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-3].startswith("  tau_wl         PASS  margin=")
+        assert lines[-2] == "  condition_x    FAIL  margin=-1 slack=0.5"
+        assert lines[-1].startswith("sup_traj_error = ")
+
     def test_stiff_field_exits_zero(self, capsys):
         # exp(l_gtilde * horizon) overflows here; the conditions report FAIL
         code, out, _ = run(capsys, "approximate", "--field", "x2;(1 - x1^2)*x2 - x1",
