@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import stat
 from itertools import chain
 from operator import itemgetter
 
@@ -289,40 +288,11 @@ def _read_text(path, kind: str) -> str:
         raise FormatError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
-def _differs(path, pieces):
-    """None, with the mtime set to now, if ``path`` is a regular file holding
-    exactly the UTF-8 bytes of ``pieces``; else the text taken from them so
-    far.  The type is checked before an ``r+b`` open (so no FIFO or device
-    is opened) and on the open file, then the bytes piece by piece."""
-    try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return ""
-        fh = open(path, "r+b")
-    except OSError:  # then "w" is tried, and reports what it cannot do
-        return ""
-    with fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            return ""
-        done = 0
-        for piece in chain(pieces, [""]):  # the "" piece checks for EOF
-            data = piece.encode("utf-8")
-            if fh.read(len(data) or 1) != data:
-                fh.seek(0)  # the bytes before this piece matched: read them back
-                return fh.read(done).decode("utf-8") + piece
-            done += len(data)
-        os.utime(fh.fileno())
-        return None
-
-
 def _write_text(path, pieces, kind: str) -> None:
-    """Write the str ``pieces`` unless the file holds their bytes already
-    (truncating would free its blocks: slow); no piece is made twice."""
-    pieces = iter(pieces)
+    """Write the str ``pieces`` one after another with ``open(path, "w")``."""
     try:
-        head = _differs(path, pieces)
-        if head is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(chain([head], pieces))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
         raise FormatError(f"cannot write {kind} file {path}: {exc}") from exc
 
