@@ -127,6 +127,8 @@ class _Item:
         for f, kind in types.items():
             d[f] = value = getattr(self, f)
             if type(value) is not kind:  # else kind(value) is value itself
+                if kind is int and not float(value).is_integer():  # int() would truncate
+                    raise ValueError(f"{f} must be an integer, got {value}")
                 d[f] = value = kind(value)
                 object.__setattr__(self, f, value)
         _check(rules, d)
@@ -175,15 +177,24 @@ class GapJunction(_Item):
     _group = _GROUPS[2]
 
 
+_ITEM_TYPES = (NeuronParams, ChemicalSynapse, GapJunction)  # in _GROUPS order
 _ARRAYS = ("_cm", "_g", "_vleak", "_src", "_dst", "_w", "_gamma", "_mu", "_erev",
            "_ga", "_gb", "_gw")
 _ARRAY_OF = dict(zip((f for _, types, _ in _GROUPS for f in types), _ARRAYS))
 _ACT = ("_asrc", "_agamma", "_amu", "_aw", "_aerev", "_adst")
 
 
-def _column(values, kind) -> np.ndarray:
+def _column(values, kind, name, f) -> np.ndarray:
+    """Column ``f`` of group ``name``: floats, or indices, where a float
+    must be a whole number (1.0 is 1, 0.7 is refused)."""
     if kind is float:
         return np.array(values, dtype=float)
+    given = np.asarray(values)
+    if given.dtype.kind == "f":
+        bad = ~np.isfinite(given) | (np.trunc(given) != given)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"{name}[{k}]: {f} must be an integer, got {given.flat[k]}")
     try:
         return np.array(values, dtype=np.intp)
     except OverflowError:  # beyond intp: Python ints, which the index checks reject
@@ -197,18 +208,21 @@ class LtcNetwork:
     arrays are the source of truth.  ``LtcNetwork.from_arrays`` validates
     them (the rules of ``_GROUPS`` over whole columns, index ranges, the
     feed-forward output rule); the tuple constructor
-    ``LtcNetwork(neurons, chem, gaps, n_output)`` converts its dataclass
-    items and calls the same validator.  The ``neurons``, ``chem`` and
-    ``gaps`` tuples are views: the tuples given to the constructor, or
-    built on first access for array-built networks.  Equality compares the
-    arrays and ``n_output``.
+    ``LtcNetwork(neurons, chem, gaps, n_output)`` converts its items and
+    calls the same validator, which skips the rules for a group of item
+    dataclasses: they checked them when they were made.  The ``neurons``,
+    ``chem`` and ``gaps`` tuples are views: the tuples given to the
+    constructor, or built on first access for array-built networks.
+    Equality compares the arrays and ``n_output``.
     """
 
     def __init__(self, neurons, chem=(), gaps=(), n_output=0):
         views = (tuple(neurons), tuple(chem), tuple(gaps))
+        checked = {g for g, items in enumerate(views)
+                   if all(type(x) is _ITEM_TYPES[g] for x in items)}
         self._store({f: [getattr(x, f) for x in items]
                      for items, (_, fields, _) in zip(views, _GROUPS) for f in fields},
-                    n_output)
+                    n_output, checked)
         self._cache.update(enumerate(views))
 
     @classmethod
@@ -221,14 +235,14 @@ class LtcNetwork:
                    n_output)
         return net
 
-    def _store(self, cols, n_output):
+    def _store(self, cols, n_output, checked=()):
         arrays, groups = [], []
-        for name, types, rules in _GROUPS:
-            group = [_column(cols[f], kind) for f, kind in types.items()]
+        for g, (name, types, rules) in enumerate(_GROUPS):
+            group = [_column(cols[f], kind, name, f) for f, kind in types.items()]
             if any(c.ndim != 1 or c.shape != group[0].shape for c in group):
                 raise ValueError(f"{name} columns must be 1-D and of equal length")
             arrays += group
-            if group[0].size:  # an empty group breaks no rule
+            if group[0].size and g not in checked:  # an empty group breaks no rule
                 groups.append((name, rules, dict(zip(types, group))))
         for name, rules, group in groups:  # each rule over whole columns
             ok = np.logical_and.reduce([test(group) for test, _ in rules])
@@ -307,9 +321,8 @@ class LtcNetwork:
     def _items(self, group: int) -> tuple:
         """Tuple view of one item list, built on first use."""
         if group not in self._cache:
-            item = (NeuronParams, ChemicalSynapse, GapJunction)[group]
             cols = (getattr(self, _ARRAY_OF[f]).tolist() for f in _GROUPS[group][1])
-            self._cache[group] = tuple(map(item, *cols))
+            self._cache[group] = tuple(map(_ITEM_TYPES[group], *cols))
         return self._cache[group]
 
     neurons = property(lambda self: self._items(0))

@@ -4,6 +4,9 @@ import json
 import math
 import re
 import warnings
+from collections import namedtuple
+from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -556,3 +559,55 @@ class TestParameterRules:
                 with pytest.raises(ValueError) as exc:
                     LtcNetwork.from_arrays(**flat, n_output=0)
                 assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("group, field, value", [
+        ("chemical_synapses", "src", 0.7), ("chemical_synapses", "dst", 1.9),
+        ("chemical_synapses", "src", -0.5), ("chemical_synapses", "dst", math.nan),
+        ("gap_junctions", "a", 0.5), ("gap_junctions", "b", math.inf),
+    ])
+    def test_fractional_index_refused(self, group, field, value):
+        # int() and an intp column would truncate it to another neuron
+        k = RULE_AT[group]
+        cols = {f: list(col) for fields in RULE_NET.values() for f, col in fields.items()}
+        item = {f: cols[f][k] for f in RULE_NET[group]}
+        with pytest.raises(ValueError) as exc:
+            RULE_ITEMS[group](**dict(item, **{field: value}))
+        assert str(exc.value) == f"{field} must be an integer, got {value}"
+        cols[field][k] = value
+        for column in (cols[field], np.array(cols[field])):
+            with pytest.raises(ValueError) as exc:
+                LtcNetwork.from_arrays(**dict(cols, **{field: column}), n_output=1)
+            assert str(exc.value) == f"{group}[{k}]: {field} must be an integer, got {value}"
+
+    def test_whole_float_and_numpy_indices_accepted(self):
+        cols = {f: col for fields in RULE_NET.values() for f, col in fields.items()}
+        net = LtcNetwork.from_arrays(**cols, n_output=1)
+        as_floats = {f: [float(v) for v in col] for f, col in cols.items()}
+        assert LtcNetwork.from_arrays(**as_floats, n_output=1) == net
+        assert ChemicalSynapse(1.0, np.int64(2), 1.0, 1.0, 0.0, 0.0) == ChemicalSynapse(
+            1, 2, 1.0, 1.0, 0.0, 0.0)
+        assert type(GapJunction(np.float64(0.0), np.int32(1), 0.5).a) is int
+
+    def test_other_item_objects_checked(self):
+        # only the item dataclasses have checked their own rules: any other
+        # object's values are checked as columns, where one dataclass item
+        # in the group does not exempt the rest
+        neuron = NeuronParams(1.0, 1.0, 0.0)
+        Neuron = namedtuple("Neuron", "cm g_leak v_leak")
+        Synapse = namedtuple("Synapse", "src dst w gamma mu e_rev")
+        good = ChemicalSynapse(0, 1, 1.0, 1.0, 0.0, 0.0)
+        assert LtcNetwork((neuron, Neuron(1.0, 1.0, 0.0)), (Synapse(*astuple(good)),)) == (
+            LtcNetwork((neuron, neuron), (good,)))
+        cases = [
+            ((neuron, Neuron(0.0, 1.0, 0.0)), (), "neurons[1]: cm must be > 0, got 0.0"),
+            ((neuron, neuron), (good, Synapse(0, 1, -1.0, 1.0, 0.0, 0.0)),
+             "chemical_synapses[1]: w must be >= 0, got -1.0"),
+            ((neuron, neuron), (Synapse(0.7, 1, 1.0, 1.0, 0.0, 0.0),),
+             "chemical_synapses[0]: src must be an integer, got 0.7"),
+        ]
+        for neurons, chem, message in cases:
+            with pytest.raises(ValueError) as exc:
+                LtcNetwork(neurons, chem)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError, match=r"^gap_junctions\[0\]: w_hat must be >= 0"):
+            LtcNetwork((neuron,) * 3, (), (SimpleNamespace(a=0, b=1, w_hat=-1.0),), 1)
