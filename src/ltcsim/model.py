@@ -195,6 +195,7 @@ def _column(values, kind, name, f) -> np.ndarray:
         if bad.any():
             k = int(np.argmax(bad))
             raise ValueError(f"{name}[{k}]: {f} must be an integer, got {given.flat[k]}")
+        values = given.tolist()  # numpy would cast a float beyond intp to its minimum
     try:
         return np.array(values, dtype=np.intp)
     except OverflowError:  # beyond intp: Python ints, which the index checks reject

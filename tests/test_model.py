@@ -587,6 +587,12 @@ class TestParameterRules:
         assert ChemicalSynapse(1.0, np.int64(2), 1.0, 1.0, 0.0, 0.0) == ChemicalSynapse(
             1, 2, 1.0, 1.0, 0.0, 0.0)
         assert type(GapJunction(np.float64(0.0), np.int32(1), 0.5).a) is int
+        # a whole float beyond intp is out of range, not cast to intp's minimum
+        big = dict(cols, src=np.array(cols["src"], dtype=float))
+        big["src"][3] = 1e30
+        with pytest.raises(ValueError) as exc:
+            LtcNetwork.from_arrays(**big, n_output=1)
+        assert str(exc.value) == "chemical_synapses[3]: index out of range for 3 neurons"
 
     def test_other_item_objects_checked(self):
         # only the item dataclasses have checked their own rules: any other
