@@ -450,12 +450,13 @@ def check_tau_conditions(
     max_norm = float(np.sqrt(np.sum(np.maximum(lo**2, hi**2))))
     margin_a = epsilon_l / 2.0 - max_norm / tau_sys_min
     mu_norm = float(np.linalg.norm(system.bias))
-    bias = _error_budget(eta, l_gtilde, horizon) - mu_norm / tau_sys_min
-    rate = l_gtilde / 2.0 - 1.0 / tau_sys_min
+    bias_margin = _error_budget(eta, l_gtilde, horizon) - mu_norm / tau_sys_min
+    rate_margin = l_gtilde / 2.0 - 1.0 / tau_sys_min
     margin_tau_wl = 0.01 - system.tau_base * system.w_l
     return [
         ("condition_a", margin_a > 0, (("margin", margin_a),)),
-        ("condition_b", bias > 0 and rate > 0, (("bias_margin", bias), ("rate_margin", rate))),
+        ("condition_b", bias_margin > 0 and rate_margin > 0,
+         (("bias_margin", bias_margin), ("rate_margin", rate_margin))),
         ("tau_wl", margin_tau_wl >= 0, (("margin", margin_tau_wl),)),
     ]
 
