@@ -248,7 +248,9 @@ def fit_feedforward(
     unit = _halton(n_samples, fld.dim)
     samples = lo + unit * (hi - lo)
     targets = _field_values(fld, samples)
-    hidden = model.expit(samples @ projection.T + bias)
+    hidden = samples @ projection.T
+    hidden += bias
+    hidden = model.expit(hidden)
     gram = hidden.T @ hidden + ridge * np.eye(n_features)
     with np.errstate(over="ignore", invalid="ignore"):  # huge targets give inf or nan
         rhs = hidden.T @ targets
@@ -262,10 +264,13 @@ def fit_feedforward(
             "normal equations are singular; use ridge > 0 to regularize"
         ) from exc
     readout = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs)).T
+    del hidden, gram, lower  # never hold the training and the validation sigmoids at once
 
     grid = _validation_grid(fld)
     truth = _field_values(fld, grid)
-    preds = model.expit(grid @ projection.T + bias) @ readout.T
+    inner = grid @ projection.T
+    inner += bias
+    preds = model.expit(inner) @ readout.T
     sup_error = float(np.max(np.linalg.norm(truth - preds, axis=1)))
     return FeedForwardApprox(readout, projection, bias, sup_error)
 

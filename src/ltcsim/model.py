@@ -56,12 +56,24 @@ _LIBM_BUDGET = 2**21
 _libm_spent = 0
 
 
+_CHUNK = 8192  # values per map of math.exp: the Python floats held at once
+
+
 def _expit_libm(x) -> np.ndarray:
     """``scipy.special.expit`` bit for bit via the C library's exp of -x, capped
-    at ``_EXP_MAX``; 0.0 where -x is above it."""
-    x = np.asarray(x, dtype=float)
-    e = np.fromiter(map(math.exp, np.minimum(-x, _EXP_MAX).ravel().tolist()), float, x.size)
-    return np.where(x < -_EXP_MAX, 0.0, 1.0 / (1.0 + e.reshape(x.shape)))
+    at ``_EXP_MAX``; 0.0 where -x is above it.  Beside ``x`` a call holds one
+    output array, worked in place, and at most ``_CHUNK`` Python floats."""
+    x = np.asarray(x, dtype=float)  # x itself when float64: never written
+    e = np.negative(x, out=np.empty(x.shape))  # out= keeps a 0-d result an array
+    np.minimum(e, _EXP_MAX, out=e)
+    flat = e.reshape(-1)
+    for i in range(0, flat.size, _CHUNK):
+        part = flat[i:i + _CHUNK]
+        part[...] = np.fromiter(map(math.exp, part.tolist()), float, part.size)
+    e += 1.0
+    np.divide(1.0, e, out=e)
+    np.copyto(e, 0.0, where=x < -_EXP_MAX)
+    return e
 
 
 def expit(x):

@@ -46,6 +46,7 @@ from ltcsim import (
 from ltcsim.approx import (
     _SLOPE_ROWS, _error_budget, _halton, _max_slope, _pairwise_distances, _validation_grid,
 )
+from ltcsim import model
 from helpers import realized_network, rotation_field
 from test_solver import one_step, semi_implicit_step
 from test_verification import entry_bits, per_row_monitor
@@ -136,6 +137,21 @@ class TestFit:
                     for s in range(10)]
             medians.append(float(np.median(errs)))
         assert all(b <= a for a, b in zip(medians, medians[1:]))
+
+    def test_fit_peak_memory(self, monkeypatch):
+        # the training sigmoids (1024 x 256) held beside the validation ones
+        # (1089 x 256), each with a tolist() and full-size temporaries, peak
+        # at 15.9 MiB; one set at a time, in place, near 5 MiB.  A fresh
+        # process takes the math.exp path, whatever budget earlier tests spent
+        monkeypatch.setattr(model, "expit", model._expit_libm)
+        fld = rotation_field()
+        tracemalloc.start()
+        try:
+            fit_feedforward(fld, 256, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_deterministic_given_seed(self):
         rot = rotation_field()

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from collections import namedtuple
 from dataclasses import astuple
@@ -31,7 +32,7 @@ from ltcsim import (
     random_network,
     tau_bounds,
 )
-from ltcsim.model import _expit_libm
+from ltcsim.model import _CHUNK, _expit_libm
 from helpers import networks, two_neuron_chain
 
 
@@ -86,6 +87,34 @@ class TestSigmoid:
             want = np.asarray(expit(x))
         assert type(got) is np.ndarray and got.shape == shape and got.dtype == np.float64
         assert (got.view(np.int64) == want.view(np.int64)).all()
+
+    @pytest.mark.parametrize("shape", [(_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,),
+                                       (2 * _CHUNK + 3,), (3, _CHUNK // 2 + 7, 1), ()])
+    def test_libm_path_across_chunk_edges(self, shape):
+        # every edge and 97 random values, repeated, so that edges and random
+        # values both sit on each side of every chunk boundary
+        rng = np.random.default_rng(5)
+        cycle = SIGMOID_EDGES + [-v for v in SIGMOID_EDGES] + list(rng.uniform(-50.0, 50.0, 97))
+        x = np.resize(np.array(cycle), shape)
+        before = x.copy()
+        got = _expit_libm(x)
+        with np.errstate(over="ignore"):
+            want = np.asarray(expit(x))
+        assert type(got) is np.ndarray and got.shape == shape and got.dtype == np.float64
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+        assert (x.view(np.int64) == before.view(np.int64)).all()  # the input is not written
+
+    def test_libm_peak_memory(self):
+        # a whole tolist() of 2**18 values and the full-size temporaries
+        # beside it peak at 5 times the input's bytes; chunks at about 1.2
+        x = np.random.default_rng(0).normal(0.0, 5.0, 2**18)
+        tracemalloc.start()
+        try:
+            _expit_libm(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.nbytes
 
     def test_zero_argument_gives_half(self):
         for gamma in (0.5, 1.0, 3.0):
