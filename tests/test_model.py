@@ -91,11 +91,15 @@ class TestSigmoid:
     @pytest.mark.parametrize("shape", [(_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,),
                                        (2 * _CHUNK + 3,), (3, _CHUNK // 2 + 7, 1), ()])
     def test_libm_path_across_chunk_edges(self, shape):
-        # every edge and 97 random values, repeated, so that edges and random
-        # values both sit on each side of every chunk boundary
-        rng = np.random.default_rng(5)
-        cycle = SIGMOID_EDGES + [-v for v in SIGMOID_EDGES] + list(rng.uniform(-50.0, 50.0, 97))
-        x = np.resize(np.array(cycle), shape)
+        # random values with every edge and its negation straddling each
+        # chunk boundary, the array's start and its end
+        edges = np.array(SIGMOID_EDGES + [-v for v in SIGMOID_EDGES])
+        flat = np.random.default_rng(5).uniform(-50.0, 50.0, math.prod(shape))
+        for boundary in range(0, flat.size + _CHUNK, _CHUNK):
+            lo = max(min(boundary, flat.size) - len(edges) // 2, 0)
+            part = flat[lo:lo + len(edges)]
+            part[...] = edges[:part.size]
+        x = flat.reshape(shape)
         before = x.copy()
         got = _expit_libm(x)
         with np.errstate(over="ignore"):
