@@ -13,11 +13,12 @@ Augmented dynamics (z = [x; y], sigma applied to the hidden block y):
 
 where B_rev is the readout divided by the coupling w_l (reversal
 encoding), E = C (w_l B_rev), and r(y) = (w_l/N) * sum of sigma(y_j) over
-the hidden sources that actually drive the coordinate (entries stored as
-exact zeros carry no synapse and hence no conductance load).  Every
-realized synapse has weight w_l/N, unit-slope zero-offset sigmoid, and a
-reversal potential that encodes N * (matrix entry) / w_l, shifted by mu
-for hidden targets; leak potentials absorb the constant drive.  With this
+all N hidden sources, one rate shared by every coordinate: every entry,
+exact zeros included, is a synapse.  Every realized synapse has weight
+w_l/N, unit-slope zero-offset sigmoid, and a reversal potential that
+encodes N * (matrix entry) / w_l, shifted by mu for hidden targets (so a
+zero entry reverses at mu, or at 0 for an output target); leak potentials
+absorb the constant drive.  With this
 wiring the LTC network reproduces the augmented equations term by term,
 and the state-dependent decay stays within [1/tau, 1/tau + w_l].
 """
@@ -134,7 +135,10 @@ def feedforward_eval(fit: FeedForwardApprox, points: np.ndarray) -> np.ndarray:
 
 
 def _field_values(fld: VectorField, points: np.ndarray) -> np.ndarray:
-    values = np.array([fld(x) for x in points], dtype=float)
+    try:
+        values = np.array([fld(x) for x in points], dtype=float)
+    except OverflowError:  # x ** 2000 raises where a float would be inf
+        values = np.array([math.inf])
     if not np.isfinite(values).all():
         raise ValueError("vector field returned non-finite values on its domain")
     return values
@@ -376,29 +380,25 @@ def assemble_augmented_system(
     return AugmentedSystem(n, nf, b_rev, e_block, fit.bias.copy(), resting_aug, tau_base, w_l)
 
 
+def _drive(system: AugmentedSystem) -> np.ndarray:
+    """The (n+N) x N stacked drive [w_l B_rev; E] of the hidden activations."""
+    return np.vstack([system.w_l * system.readout_block, system.hidden_block])
+
+
 def augmented_rhs(system: AugmentedSystem):
-    """Right-hand side of the augmented ODE (the direct integration path)."""
-    n, nf = system.n, system.N
-    b_rev = system.readout_block
-    e_block = system.hidden_block
-    drive_x = system.w_l * b_rev
-    mask_x = (b_rev != 0).astype(float)
-    mask_y = (e_block != 0).astype(float)
-    per_syn = system.w_l / nf if nf else 0.0
+    """Right-hand side of the augmented ODE (the direct integration path):
+    z' = -(1/tau + r(y)) z + [w_l B_rev; E] sigma(y) + A, plus mu (1/tau + r(y))
+    on y, with one rate r(y) = (w_l/N) * sum sigma(y_j) for every coordinate."""
+    n, drive = system.n, _drive(system)
+    per_syn = system.w_l / system.N if system.N else 0.0
     inv_tau = 1.0 / system.tau_base
-    mu = system.bias
-    a1 = system.resting_aug[:n]
-    a2 = system.resting_aug[n:]
 
     def rhs(z):
-        x = z[:n]
-        y = z[n:]
-        s = model.expit(y)
-        load_x = per_syn * (mask_x @ s)
-        load_y = per_syn * (mask_y @ s)
-        dx = -(inv_tau + load_x) * x + drive_x @ s + a1
-        dy = -(inv_tau + load_y) * y + e_block @ s + a2 + mu * (inv_tau + load_y)
-        return np.concatenate([dx, dy])
+        s = model.expit(z[n:])
+        rate = inv_tau + per_syn * s.sum()
+        dz = -rate * z + drive @ s + system.resting_aug
+        dz[n:] += system.bias * rate
+        return dz
 
     return rhs
 
@@ -410,8 +410,7 @@ def estimate_gtilde_lipschitz(system: AugmentedSystem) -> float:
     W = [[0, w_l B_rev], [0, E]] has the singular values of its nonzero
     columns [w_l B_rev; E], so only that (n+N) x N block is decomposed.
     """
-    drive = np.vstack([system.w_l * system.readout_block, system.hidden_block])
-    return float(np.linalg.norm(drive, 2) * 0.25 * 2.0)
+    return float(np.linalg.norm(_drive(system), 2) * 0.25 * 2.0)
 
 
 def _error_budget(eta: float, lipschitz: float, horizon: float) -> float:
@@ -470,44 +469,31 @@ def realize_as_ltc(system: AugmentedSystem) -> LtcNetwork:
     """Wire the augmented system as an LTC network.
 
     Hidden neurons 0..N-1 carry the y coordinates, output neurons N..N+n-1
-    the x coordinates.  Every nonzero block entry (row k, source j)
-    becomes a synapse from hidden neuron j with weight w_l/N, unit sigmoid,
-    and a reversal potential of N * entry / w_l for hidden targets
-    (shifted by the bias of the target coordinate) or N * entry for output
-    targets; leak parameters give each neuron the base rate 1/tau and the
-    constant drives.
+    the x coordinates.  Every block entry (row k, source j), exact zeros
+    included, becomes a synapse from hidden neuron j with weight w_l/N,
+    unit sigmoid, and a reversal potential of N * entry / w_l for hidden
+    targets (shifted by the bias of the target coordinate) or N * entry for
+    output targets; leak parameters give each neuron the base rate 1/tau
+    and the constant drives.  So every network with N >= 1 is a block.
     """
-    n, nf = system.n, system.N
-    tau = system.tau_base
-    mu = system.bias
+    n, nf, tau, mu = system.n, system.N, system.tau_base, system.bias
     # Row j of the stacked [E; B_rev]^T lists the targets of hidden source
-    # j: hidden neurons 0..N-1, then outputs N..N+n-1.  Row-major nonzero
-    # therefore yields the synapses source by source, hidden targets first.
+    # j: hidden neurons 0..N-1, then outputs N..N+n-1.
     stacked = np.vstack([system.hidden_block, system.readout_block]).T
-    src, dst = np.nonzero(stacked)
-    entries = stacked[src, dst]
-    hidden = dst < nf
     with np.errstate(over="ignore"):
-        e_rev = nf * entries
-        e_rev[hidden] = e_rev[hidden] / system.w_l + mu[dst[hidden]]
+        e_rev = nf * stacked
+        e_rev[:, :nf] = e_rev[:, :nf] / system.w_l + mu
     bad = ~np.isfinite(e_rev)
     if bad.any():
-        k = int(np.argmax(bad))
-        j, r = int(src[k]), int(dst[k])
+        j, r = np.argwhere(bad)[0].tolist()
         block, row = ("hidden", r) if r < nf else ("readout", r - nf)
-        raise RealizationError(
-            f"{block} block entry ({row}, {j}) = {entries[k]!r} needs "
-            f"a non-finite reversal potential"
-        )
-    size = nf + n
-    m = src.shape[0]
+        raise RealizationError(f"{block} block entry ({row}, {j}) = {stacked[j, r]!r} "
+                               "needs a non-finite reversal potential")
     return LtcNetwork.from_arrays(
-        cm=np.ones(size),
-        g_leak=np.full(size, 1.0 / tau),
+        cm=np.ones(nf + n), g_leak=np.full(nf + n, 1.0 / tau),
         v_leak=np.concatenate([tau * system.resting_aug[n:] + mu, tau * system.resting_aug[:n]]),
-        src=src, dst=dst, w=np.full(m, system.w_l / nf if nf else 0.0),
-        gamma=np.ones(m), mu=np.zeros(m), e_rev=e_rev, n_output=n,
-    )
+        **model._block_columns(np.full(nf, system.w_l) / nf, np.ones(nf), np.zeros(nf), e_rev),
+        n_output=n)
 
 
 @dataclass
@@ -570,6 +556,8 @@ def approximate_trajectory(
         config = PipelineConfig()
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+    if horizon < config.ltc_dt:
+        raise ValueError(f"horizon must be >= ltc_dt, got {horizon} < {config.ltc_dt}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (fld.dim,):
         raise DomainError(f"x0 has shape {x0.shape}, field dimension is {fld.dim}")

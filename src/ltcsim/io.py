@@ -24,7 +24,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, TopologyError
-from .model import _ARRAY_OF, _GROUPS, LtcNetwork, _check
+from .model import _ARRAY_OF, _GROUPS, LtcNetwork, _block_columns, _check
 from .solver import Trajectory
 
 __all__ = [
@@ -114,7 +114,7 @@ def _columns(items, group, path, size) -> dict:
         items = []
     if isinstance(items, dict):
         if "e_rev" in fields and items.keys() == set(_BLOCK):
-            return _block_columns(items, path, size)
+            return _read_block(items, path, size)
         return _column_object(items, fields, path)
     if not isinstance(items, list):
         raise FormatError(f"{path} must be a list or an object of columns")
@@ -155,9 +155,9 @@ def _column_object(group: dict, fields, path, step=1) -> dict:
     return cols
 
 
-def _block_columns(group: dict, path, size) -> dict:
-    """Synapse columns of a block: synapse r * size + j runs from source r to
-    neuron j, with the source's w, gamma and mu and with e_rev[r][j]."""
+def _read_block(group: dict, path, size) -> dict:
+    """Synapse columns of a block layout, checked and then expanded by
+    ``model._block_columns``."""
     if size is None:  # ragged neuron columns, which from_arrays names first
         return {}
     rows = group["e_rev"]
@@ -170,10 +170,8 @@ def _block_columns(group: dict, path, size) -> dict:
                               "one per neuron")
     if rows and not size:
         raise FormatError(f"{path}[0]: index out of range for 0 neurons")
-    cols = {f: np.repeat(c, size) for f, c in cols.items()}
-    cols.update(_column_object({"e_rev": list(chain.from_iterable(rows))}, ("e_rev",), path))
-    n = len(rows)
-    return dict(cols, src=np.repeat(np.arange(n), size), dst=np.tile(np.arange(size), n))
+    e_rev = _column_object({"e_rev": list(chain.from_iterable(rows))}, ("e_rev",), path)
+    return _block_columns(**cols, e_rev=e_rev["e_rev"].reshape(len(rows), size))
 
 
 def _unique_keys(pairs) -> dict:

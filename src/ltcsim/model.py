@@ -214,6 +214,15 @@ def _column(values, kind, name, f) -> np.ndarray:
         return np.array([int(v) for v in values], dtype=object)
 
 
+def _block_columns(w, gamma, mu, e_rev) -> dict:
+    """``from_arrays``' synapse columns of a block: synapse r * size + j runs from
+    source r to neuron j, with source r's w, gamma and mu and with e_rev[r, j]."""
+    rows, size = e_rev.shape
+    return dict(src=np.repeat(np.arange(rows), size), dst=np.tile(np.arange(size), rows),
+                w=np.repeat(w, size), gamma=np.repeat(gamma, size), mu=np.repeat(mu, size),
+                e_rev=e_rev.ravel())
+
+
 class LtcNetwork:
     """Immutable network: neurons, synapses, junctions and output split.
 
@@ -284,7 +293,7 @@ class LtcNetwork:
                 raise TopologyError(f"{path}[{k}]: " + why.format(first[k]))
         for arr in arrays:
             arr.flags.writeable = False
-        # A block (what realize_as_ltc builds): no junctions, and sources
+        # A block (as _block_columns lays out): no junctions, and sources
         # 0..R-1 in order each sending one synapse to every neuron in order,
         # all of a source's synapses sharing (w, gamma, mu) bit for bit.  Its
         # activation columns (_a*) hold one (R, 1) row per source, which

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-# units = synapses + junctions + 3 * neurons.  A non-block network of at most
+# units = synapses + junctions + 3 * neurons.  A network (a block too) of at most
 # _MAX_UNITS units steps on _compiled_run in runs of at least _UNIT_EVALS * units
 # derivative evaluations.  A compile costs 0.3-1.1 ms at 24 units, 2.3-5.3 ms at
 # 112-128; an Euler step then about 0.1 us per unit (arrays: 8-22 us; RK4 x4).
@@ -134,11 +134,12 @@ def _semi_implicit_update(net: LtcNetwork, u: np.ndarray, dt: float) -> np.ndarr
 
 def _compiled_run(net: LtcNetwork, method: Method, guarded: bool = False):
     """``run(u, segments, stride, n) -> (rows, diverged)``: ``method``'s stepping
-    loop for a non-block network in straight-line Python over float locals and
-    literals, with the array form's IEEE operations in its order (a neuron's
-    synapses from +0.0, then junction a-sides and b-sides; flat sums never nest
-    parentheses).  ``rows`` is flat, ``diverged`` the first non-finite step or
-    0.  Unless ``guarded``, exp raises OverflowError where a sigmoid is 0.0."""
+    loop for a network in straight-line Python over float locals and literals,
+    with the array form's IEEE operations in its order (a neuron's synapses,
+    a block's in source order, from +0.0, then junction a-sides and b-sides;
+    flat sums never nest parentheses).  ``rows`` is flat, ``diverged`` the
+    first non-finite step or 0.  Unless ``guarded``, exp raises OverflowError
+    where a sigmoid is 0.0."""
     lit = _literal
     # -gamma: (-gamma) * y is -(gamma * y) bit for bit, so exp gets model's -t
     cm, g, vleak, w, ngamma, mu, erev = (list(map(lit, a.tolist())) for a in (
@@ -268,7 +269,7 @@ def simulate(net: LtcNetwork, u0, config: SolverConfig) -> Trajectory:
     n_steps, segments = _steps(config)
     units = net.n_chem + net.n_gaps + 3 * net.size
     evals = n_steps * (4 if config.method is Method.RK4 else 1)
-    if not net._block and units <= _MAX_UNITS and evals >= _UNIT_EVALS * units:
+    if units <= _MAX_UNITS and evals >= _UNIT_EVALS * units:
         args = (u0.tolist(), segments, config.record_every, n_steps)
         try:
             rows, diverged = _compiled_run(net, config.method)(*args)

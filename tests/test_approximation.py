@@ -1,5 +1,6 @@
 """Approximation: fits, Lipschitz estimates, augmented systems, pipeline."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -40,8 +41,11 @@ from ltcsim import (
     monitor_trajectory,
     network_derivative,
     neuron_derivative,
+    parse_field,
     realize_as_ltc,
+    serialize_network,
     simulate,
+    tau_bounds,
 )
 from ltcsim.approx import (
     _SLOPE_ROWS, _error_budget, _halton, _max_slope, _pairwise_distances, _validation_grid,
@@ -484,15 +488,20 @@ class TestRealize:
         assert all(p.g_leak == pytest.approx(0.1) for p in net.neurons)
 
     def test_dual_path_agreement_small_systems(self):
-        rng = np.random.default_rng(6)
-        for _ in range(5):
+        # five systems as assembled, then five with 40% of their block entries
+        # set to exact zeros, which are synapses too (one shared decay rate)
+        rng, pick = np.random.default_rng(6), np.random.default_rng(16)
+        for zeros in [0.0] * 5 + [0.4] * 5:
             n = int(rng.integers(1, 3))
             nf = int(rng.integers(1, 4))
             fit = random_fit(rng, n, nf)
             system = assemble_augmented_system(
                 fit, 10.0, 1e-3, rng.normal(size=n) * 0.1, rng.normal(size=nf) * 0.1
             )
+            for block in (system.readout_block, system.hidden_block):
+                block[pick.uniform(size=block.shape) < zeros] = 0.0
             net = realize_as_ltc(system)
+            assert net._block
             z0 = rng.uniform(-1, 1, n + nf)
             cfg = SolverConfig(Method.RK4, 1e-4, 1.0, 20)
             direct = integrate_field(augmented_rhs(system), z0, cfg)
@@ -503,12 +512,16 @@ class TestRealize:
             )
             assert np.max(np.abs(direct.states - ltc_aug)) < 1e-10
 
-    def test_zero_block_gives_leak_only(self):
+    def test_zero_block_wires_every_entry(self):
+        # every entry is a synapse, exact zeros too: the all-zero system is a
+        # block that reverses at mu on hidden targets and at 0 on outputs
         fit = FeedForwardApprox(np.zeros((2, 3)), np.ones((3, 2)),
-                                np.zeros(3), 0.0)
+                                np.array([0.5, -0.25, 0.0]), 0.0)
         system = assemble_augmented_system(fit, 10.0, 1e-3)
         net = realize_as_ltc(system)
-        assert not net.chem and not net.gaps
+        assert net._block and net.n_chem == 3 * 5 and not net.gaps
+        assert net._aerev.tolist() == [[0.5, -0.25, 0.0, 0.0, 0.0]] * 3
+        assert (net._w == 1e-3 / 3).all()
 
     def test_realized_topology_feed_forward(self):
         rng = np.random.default_rng(7)
@@ -520,7 +533,8 @@ class TestRealize:
 
     @staticmethod
     def _loop_realization(system):
-        """Per-entry reference wiring: source j outer, hidden targets, then outputs."""
+        """Per-entry reference wiring, exact zeros included: source j outer,
+        hidden targets, then outputs."""
         n, nf, tau = system.n, system.N, system.tau_base
         mu, a1, a2 = system.bias, system.resting_aug[:n], system.resting_aug[n:]
         neurons = [NeuronParams(1.0, 1.0 / tau, tau * a2[k] + mu[k]) for k in range(nf)]
@@ -529,13 +543,11 @@ class TestRealize:
         syns = []
         for j in range(nf):
             for k in range(nf):
-                if system.hidden_block[k, j] != 0.0:
-                    e_rev = nf * system.hidden_block[k, j] / system.w_l + mu[k]
-                    syns.append(ChemicalSynapse(j, k, w_syn, 1.0, 0.0, e_rev))
+                e_rev = nf * system.hidden_block[k, j] / system.w_l + mu[k]
+                syns.append(ChemicalSynapse(j, k, w_syn, 1.0, 0.0, e_rev))
             for i in range(n):
-                if system.readout_block[i, j] != 0.0:
-                    e_rev = nf * system.readout_block[i, j]
-                    syns.append(ChemicalSynapse(j, nf + i, w_syn, 1.0, 0.0, e_rev))
+                e_rev = nf * system.readout_block[i, j]
+                syns.append(ChemicalSynapse(j, nf + i, w_syn, 1.0, 0.0, e_rev))
         return LtcNetwork(tuple(neurons), tuple(syns), (), n_output=n)
 
     def test_vectorized_equals_loop(self):
@@ -549,6 +561,7 @@ class TestRealize:
                                      rng.normal(size=n + nf),
                                      float(rng.uniform(1, 100)), 1e-4)
             net, ref = realize_as_ltc(system), self._loop_realization(system)
+            assert net._block == (nf > 0) and net.n_chem == nf * (n + nf)
             assert net == ref and net.chem == ref.chem and net.neurons == ref.neurons
             assert (net._erev.view(np.int64) == ref._erev.view(np.int64)).all()
             assert (net._vleak.view(np.int64) == ref._vleak.view(np.int64)).all()
@@ -600,6 +613,21 @@ class TestRealize:
                 got = monitor_trajectory(traj, case, 1e-6).entries
                 want = per_row_monitor(traj, case, 1e-6)
             assert entry_bits(got) == entry_bits(want)
+
+    def test_zero_readout_row_is_a_block(self):
+        # x2;0 fits its second coordinate with an all-zero readout row; that row
+        # is wired too, so the network is a block, written in the block layout,
+        # and every neuron's smallest tau is the system's 1/(1/tau + w_l)
+        fld = parse_field(["x2", "0"], [[-1.5, 1.5], [-1.5, 1.5]])
+        system = assemble_augmented_system(fit_feedforward(fld, 256, seed=7), 100.0, 1e-4)
+        assert (system.readout_block[1] == 0.0).all()
+        net = realize_as_ltc(system)
+        assert net._block and net.n_chem == 256 * 258
+        doc = json.loads(serialize_network(net))
+        assert doc["chemical_synapses"].keys() == {"w", "gamma", "mu", "e_rev"}
+        tau_min = system.tau_sys_range[0]
+        for i in range(net.size):
+            assert tau_bounds(i, net).tau_min == pytest.approx(tau_min, rel=1e-12, abs=0.0)
 
     def test_unrepresentable_entry(self):
         readout = np.array([[1e308]])

@@ -333,6 +333,24 @@ class TestErrorPaths:
         assert err.startswith("ERROR numeric: t_end / dt must be at most 2**50 steps, "
                               "got 1e+300 / ")
 
+    def test_horizon_under_one_network_step_numeric(self, capsys, monkeypatch):
+        # refused before the Lipschitz estimate, the fit or the realization,
+        # and worded in the pipeline's own names
+        calls = []
+        monkeypatch.setattr(ltcsim.approx, "estimate_lipschitz", calls.append)
+        code, _, err = run(capsys, "approximate", "--field", "x2;-x1", "--domain", "-1:1,-1:1",
+                           "--x0", "0.5,0", "--horizon", "0.0001", "--features", "4")
+        assert code == 3 and calls == []
+        assert err == "ERROR numeric: horizon must be >= ltc_dt, got 0.0001 < 0.001\n"
+
+    def test_overflowing_power_numeric(self, capsys):
+        # x1 ** 2000 raises OverflowError where a product would give inf: the
+        # same refusal as any non-finite field value
+        code, _, err = run(capsys, "approximate", "--field", "x1^2000", "--domain=-2:2",
+                           "--x0", "0.5", "--horizon", "0.1", "--features", "4")
+        assert code == 3
+        assert err == "ERROR numeric: vector field returned non-finite values on its domain\n"
+
     @pytest.mark.parametrize("field, domain, x0", [
         ("1e308*x1;x2", "-1.5:1.5,-1.5:1.5", "1,0"),  # Lipschitz estimate on the grid
         ("1e308*x1;x2;x3;x4", "-1.5:1.5,-1.5:1.5,-1:1,-1:1", "1,0,0,0"),  # on random pairs

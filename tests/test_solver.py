@@ -396,9 +396,9 @@ def derivative_calls(monkeypatch, net, steps=3) -> int:
 
 @contextlib.contextmanager
 def forced(compiled: bool):
-    """A monkeypatch context in which ``simulate`` steps a network that is not
-    a block on the compiled run (``compiled``) or on arrays, however long the
-    run and large the network."""
+    """A monkeypatch context in which ``simulate`` steps a network on the
+    compiled run (``compiled``) or on arrays, however long the run and large
+    the network."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ltcsim.solver, "_MAX_UNITS", math.inf if compiled else -1)
         mp.setattr(ltcsim.solver, "_UNIT_EVALS", 0)
@@ -441,6 +441,44 @@ class TestScalarPath:
                                 min_size=net.size, max_size=net.size))
         config = SolverConfig(method, dt, dt * (steps + short), record_every)
         assert_compiled_equals_array(net, u0, config)
+
+    @given(networks(block=True) | networks(bound=4.0, block=True), st.data(),
+           st.sampled_from(list(Method)), st.sampled_from([1e-3, 0.1, 1.0, 1e3]),
+           st.integers(1, 4), st.sampled_from([0.0, 0.5]))
+    def test_small_blocks_compiled_equal_arrays(self, net, data, method, dt, steps, short):
+        # blocks within _MAX_UNITS compile like any network: each neuron's
+        # synapses are summed in source order from +0.0, as the grid's columns
+        assume(net.n_chem + 3 * net.size <= ltcsim.solver._MAX_UNITS)
+        assert net._block
+        u0 = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                                | st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0]),
+                                min_size=net.size, max_size=net.size))
+        assert_compiled_equals_array(net, u0, SolverConfig(method, dt, dt * (steps + short)))
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_block_edges_compiled(self, monkeypatch, method):
+        # w = -0.0 against e_rev = +-0.0, where every term is a signed zero, and
+        # a source whose sigmoid argument crosses -_EXP_MAX mid-run, which
+        # reruns the block on the guarded form
+        forms = []
+        generate = ltcsim.solver._compiled_run
+        monkeypatch.setattr(ltcsim.solver, "_compiled_run",
+                            lambda net, m, guarded=False: forms.append(guarded)
+                            or generate(net, m, guarded))
+        zeros = LtcNetwork([NeuronParams(1.0, 1.0, -0.0)] * 3,
+                           [ChemicalSynapse(r, j, -0.0, 1.0, -0.0, (0.0, -0.0)[(j + r) % 2])
+                            for r in range(2) for j in range(3)], (), 1)
+        crossing = LtcNetwork([NeuronParams(1.0, 1.0, -2.0), NeuronParams(1.0, 1.0, 0.0)],
+                              [ChemicalSynapse(0, j, 1.0, 1e3, 0.0, (-2.0, 1.0)[j])
+                               for j in range(2)], (), 1)
+        for net, u0, guarded in ((zeros, [-0.0, 0.0, -0.0], [False]),
+                                 (zeros, [0.0, -0.0, 0.0], [False]),
+                                 (crossing, [0.0, 0.5], [False, True])):
+            assert net._block
+            forms.clear()
+            _, traj = assert_compiled_equals_array(net, u0, SolverConfig(method, 0.01, 1.0))
+            assert forms == guarded
+        assert traj.states[-1, 0] < -0.71
 
     def test_junction_sides_in_order(self):
         # neuron 0 has a-sides to 1 and 2, then b-sides from 3 and 2: summed
@@ -555,10 +593,15 @@ class TestScalarPath:
         leaky = LtcNetwork([NeuronParams(1.0, 1.0, 0.0)] * 2000, (), (), 1)
         for net, steps in ((over, 3), (over, 10 * most), (leaky, 200)):
             assert derivative_calls(monkeypatch, net, steps) == steps
-        # blocks step on arrays whatever their size
+        # a block compiles from its gate like any network; a realized N = 256
+        # block is past _MAX_UNITS and steps on arrays however long the run
         small = LtcNetwork(neurons[:2], [ChemicalSynapse(0, j, 0.5, 1.0, 0.1, -0.5)
                                          for j in range(2)], (), 1)
-        for block in (small, realized_network()):
-            assert block._block
-            for steps in (3, 100):
-                assert derivative_calls(monkeypatch, block, steps) == steps
+        gate = per_unit * (2 + 3 * 2)
+        assert small._block
+        assert derivative_calls(monkeypatch, small, gate) == 0
+        assert derivative_calls(monkeypatch, small, gate - 1) == gate - 1
+        large = realized_network(256)
+        assert large._block and large.n_chem + 3 * large.size > most
+        for steps in (3, 100):
+            assert derivative_calls(monkeypatch, large, steps) == steps
