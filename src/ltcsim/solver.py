@@ -48,7 +48,9 @@ __all__ = [
 # derivative evaluations.  A compile costs 0.3-1.1 ms at 24 units, 2.3-5.3 ms at
 # 112-128; an Euler step then about 0.1 us per unit (arrays: 8-22 us; RK4 x4).
 # The paths meet at 2.5-6.3 evaluations per unit up to 112 units and 4.5-8.4 at
-# 120-128 (2 shared vCPUs; BENCH_15.json).  Sigmoids carry no overflow guard: an
+# 120-128 (2 shared vCPUs; BENCH_15.json).  A block shares one sigmoid per source,
+# as arrays do: at N = 8 (110 units), 1,000 Euler steps take 5.2-5.5 ms compiled
+# against 11 on arrays (BENCH_25.json).  Sigmoids carry no overflow guard: an
 # exp overflow reruns the whole run compiled with ``guarded``.
 _MAX_UNITS = 128
 _UNIT_EVALS = 5
@@ -156,27 +158,33 @@ def _compiled_run(net: LtcNetwork, method: Method, guarded: bool = False):
         text = f"(0.0 + {' + '.join(terms)})" if terms else "0.0"
         return (f" + {text}" if net.n_gaps else "") if gap else text
 
-    def sig(k, x) -> str:
-        # parenthesized, lest w * sigma be read as (w * 1.0) / ...
+    def wsig(k) -> str:
+        # sigma parenthesized, lest w * sigma be read as (w * 1.0) / ...
         t = f"{ngamma[k]} * ({x[src[k]]} + {mu[k]})"
-        return (f"(0.0 if (t := {t}) > {_EXP_MAX!r} else 1.0 / (1.0 + exp(t)))" if guarded
-                else f"(1.0 / (1.0 + exp({t})))")
+        return f"{w[k]} * " + (f"(0.0 if (t := {t}) > {_EXP_MAX!r} else 1.0 / (1.0 + exp(t)))"
+                               if guarded else f"(1.0 / (1.0 + exp({t})))")
 
-    def derivative(x) -> list:
+    x = [f"x{i}" for i in range(net.size)]
+    # a block's source r shares one w * sigma, a<r>, set before each derivative
+    shared = [f"a{src[k]} = {wsig(k)}" for k in range(0, len(src), net.size)] if net._block else []
+    term = (lambda k: f"a{src[k]}") if net._block else wsig
+
+    def derivative() -> list:
         return [f"({g[i]} * ({vleak[i]} - {xi}) + "
-                + total([f"{w[k]} * {sig(k, x)} * ({erev[k]} - {xi})" for k in into[i]])
+                + total([f"{term(k)} * ({erev[k]} - {xi})" for k in into[i]])
                 + total([f"{wh} * ({x[j]} - {xi})" for j, wh in gaps[i]], True) + f") / {cm[i]}"
                 for i, xi in enumerate(x)]
 
-    x = [f"x{i}" for i in range(net.size)]
     state = f"[{', '.join(x)}]"
     head, hoist, body = [], [], []
     if method is Method.EULER:
-        new = [f"{xi} + dt * ({d})" for xi, d in zip(x, derivative(x))]
+        body = shared
+        new = [f"{xi} + dt * ({d})" for xi, d in zip(x, derivative())]
     elif method is Method.RK4:
         # a derivative function called four times compiles 2x faster than inlined
         ks = [[f"k{s}_{i}" for i in range(net.size)] for s in range(4)]
-        head = [f"def f({', '.join(x)}):", f" return [{', '.join(derivative(x))}]"]
+        head = [f"def f({', '.join(x)}):", *(f" {line}" for line in shared),
+                f" return [{', '.join(derivative())}]"]
         hoist = ["h = 0.5 * dt", "c = dt / 6.0"]
         ys = [x] + [[f"{xi} + {h} * {k}" for xi, k in zip(x, ks[s])]
                     for s, h in enumerate(("h", "h", "dt"))]
@@ -184,13 +192,14 @@ def _compiled_run(net: LtcNetwork, method: Method, guarded: bool = False):
         new = [f"{xi} + c * ({a} + 2.0 * {b} + 2.0 * {d} + {e})"
                for xi, a, b, d, e in zip(x, *ks)]
     else:
-        body = [f"s{k} = {w[k]} * {sig(k, x)}" for k in range(len(src))]
+        body = shared or [f"s{k} = {wsig(k)}" for k in range(len(src))]
+        held = term if net._block else (lambda k: f"s{k}")
         new = []
         for i, xi in enumerate(x):
-            num = (f"{gvleak[i]} + " + total([f"s{k} * {erev[k]}" for k in into[i]])
+            num = (f"{gvleak[i]} + " + total([f"{held(k)} * {erev[k]}" for k in into[i]])
                    + total([f"{wh} * {x[j]}" for j, wh in gaps[i]], True))
             # a junction load is a sum of literals, which compile folds
-            den = (f"{g[i]} + " + total([f"s{k}" for k in into[i]])
+            den = (f"{g[i]} + " + total([held(k) for k in into[i]])
                    + total([wh for _, wh in gaps[i]], True))
             new.append(f"({xi} + dt * (({num}) / {cm[i]})) / (1.0 + dt * (({den}) / {cm[i]}))")
     body.append(f"{state} = [{', '.join(new)}]")
@@ -237,7 +246,10 @@ def _run(update, u: np.ndarray, config: SolverConfig) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for dt, steps in segments:
             for k in steps:
-                u = update(u, dt)
+                try:
+                    u = update(u, dt)
+                except OverflowError:  # a field's float power past the double range
+                    return _trajectory(config, n_steps, states, u.size, k)
                 if not (math.isfinite(u.dot(u)) or np.isfinite(u).all()):
                     return _trajectory(config, n_steps, states, u.size, k)
                 if k % config.record_every == 0 or k == n_steps:

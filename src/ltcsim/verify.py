@@ -213,39 +213,35 @@ def conservation_check(traj: Trajectory, net: LtcNetwork) -> float:
 def random_network(rng: np.random.Generator, chemical_only: bool = False) -> LtcNetwork:
     """Random small network for property suites.
 
-    Sizes 2-8 neurons; weights U[0,2], gamma U[0.5,2], mu U[-1,1],
-    e_rev U[-1,1], v_leak U[-0.5,0.5], cm and g_leak U[0.5,2].  Edges obey
-    the feed-forward output rule; hidden autapses are allowed.
+    The draws, in this order: size U{2..8}, then n_output U{1..size-1}; cm
+    U[0.5,2], g_leak U[0.5,2] and v_leak U[-0.5,0.5] for each neuron; for
+    each (src, dst) pair, src hidden and dst any neuron, a synapse with
+    p = 0.5, and then its w U[0,2], gamma U[0.5,2], mu U[-1,1] and e_rev
+    U[-1,1]; unless ``chemical_only``, for each hidden pair a < b a gap
+    junction with p = 0.3, and then its w_hat U[0,2].  Edges obey the
+    feed-forward output rule; hidden autapses are allowed.  Each value is
+    ``lo + (hi - lo) * rng.random()``, numpy's own ``uniform`` arithmetic, so
+    networks and the generator's state equal those of ``rng.uniform`` calls
+    bit for bit (``test_random_network_equals_uniform_draws``).
     """
+    rand = rng.random
     size = int(rng.integers(2, 9))
     n_output = int(rng.integers(1, size))
     n_hidden = size - n_output
-    neurons = tuple(
-        NeuronParams(
-            cm=rng.uniform(0.5, 2.0),
-            g_leak=rng.uniform(0.5, 2.0),
-            v_leak=rng.uniform(-0.5, 0.5),
-        )
-        for _ in range(size)
-    )
+    u = iter(rand(3 * size).tolist())
+    neurons = tuple(NeuronParams(0.5 + 1.5 * cm, 0.5 + 1.5 * g, -0.5 + 1.0 * v)
+                    for cm, g, v in zip(u, u, u))
     chem = []
     for src in range(n_hidden):
         for dst in range(size):
-            if rng.uniform() < 0.5:
-                chem.append(
-                    ChemicalSynapse(
-                        src=src,
-                        dst=dst,
-                        w=rng.uniform(0.0, 2.0),
-                        gamma=rng.uniform(0.5, 2.0),
-                        mu=rng.uniform(-1.0, 1.0),
-                        e_rev=rng.uniform(-1.0, 1.0),
-                    )
-                )
+            if rand() < 0.5:
+                w, gamma, mu, e_rev = rand(4).tolist()
+                chem.append(ChemicalSynapse(src, dst, 2.0 * w, 0.5 + 1.5 * gamma,
+                                            -1.0 + 2.0 * mu, -1.0 + 2.0 * e_rev))
     gaps = []
     if not chemical_only:
         for a in range(n_hidden):
             for b in range(a + 1, n_hidden):
-                if rng.uniform() < 0.3:
-                    gaps.append(GapJunction(a=a, b=b, w_hat=rng.uniform(0.0, 2.0)))
+                if rand() < 0.3:
+                    gaps.append(GapJunction(a, b, 2.0 * rand()))
     return LtcNetwork(neurons, tuple(chem), tuple(gaps), n_output)

@@ -73,6 +73,43 @@ def realized_network(n_features=5, seed=0):
     return realize_as_ltc(assemble_augmented_system(fit, 10.0, 1e-3))
 
 
+def uniform_random_network(rng: np.random.Generator, chemical_only: bool = False) -> LtcNetwork:
+    """``verify.random_network`` as it was written with ``rng.uniform`` draws,
+    kept verbatim as the oracle that pins the generator's bits."""
+    size = int(rng.integers(2, 9))
+    n_output = int(rng.integers(1, size))
+    n_hidden = size - n_output
+    neurons = tuple(
+        NeuronParams(
+            cm=rng.uniform(0.5, 2.0),
+            g_leak=rng.uniform(0.5, 2.0),
+            v_leak=rng.uniform(-0.5, 0.5),
+        )
+        for _ in range(size)
+    )
+    chem = []
+    for src in range(n_hidden):
+        for dst in range(size):
+            if rng.uniform() < 0.5:
+                chem.append(
+                    ChemicalSynapse(
+                        src=src,
+                        dst=dst,
+                        w=rng.uniform(0.0, 2.0),
+                        gamma=rng.uniform(0.5, 2.0),
+                        mu=rng.uniform(-1.0, 1.0),
+                        e_rev=rng.uniform(-1.0, 1.0),
+                    )
+                )
+    gaps = []
+    if not chemical_only:
+        for a in range(n_hidden):
+            for b in range(a + 1, n_hidden):
+                if rng.uniform() < 0.3:
+                    gaps.append(GapJunction(a=a, b=b, w_hat=rng.uniform(0.0, 2.0)))
+    return LtcNetwork(neurons, tuple(chem), tuple(gaps), n_output)
+
+
 @st.composite
 def networks(draw, bound=None, shared=False, block=False):
     """Random valid networks for property tests.

@@ -351,6 +351,15 @@ class TestErrorPaths:
         assert code == 3
         assert err == "ERROR numeric: vector field returned non-finite values on its domain\n"
 
+    def test_overflowing_reference_solve_diverges(self, capsys):
+        # the reference state passes 1e34, where x1 ** 9 raises OverflowError:
+        # a divergence at that step, as a product's inf would be
+        code, _, err = run(capsys, "approximate", "--field", "x1^9", "--domain=-2:2",
+                           "--x0", "2", "--horizon", "5", "--features", "4")
+        assert code == 3
+        assert err.splitlines()[0] == ("ERROR numeric: integration diverged at "
+                                       "t=0.0006000000000000001: non-finite state component")
+
     @pytest.mark.parametrize("field, domain, x0", [
         ("1e308*x1;x2", "-1.5:1.5,-1.5:1.5", "1,0"),  # Lipschitz estimate on the grid
         ("1e308*x1;x2;x3;x4", "-1.5:1.5,-1.5:1.5,-1:1,-1:1", "1,0,0,0"),  # on random pairs

@@ -21,6 +21,7 @@ from ltcsim import (
     integrate_field,
     network_derivative,
     neuron_derivative,
+    parse_field,
     random_network,
     sigmoid_activation,
     simulate,
@@ -308,6 +309,17 @@ class TestSimulate:
         assert partial.times.tolist() == [0.0, 1.0]
         assert partial.states.tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
+    @pytest.mark.parametrize("text", ["x1^9", "*".join(["x1"] * 9)], ids=["power", "product"])
+    def test_overflowing_field_diverges(self, text):
+        # from 2, RK4's second step reaches 1e47: the power raises OverflowError
+        # and the product gives inf, and both end the run there
+        f = parse_field([text], [[-2.0, 2.0]]).fn
+        with pytest.raises(IntegrationDivergedError, match=r"diverged at t=0\.002: ") as info:
+            integrate_field(f, [2.0], SolverConfig(Method.RK4, 1e-3, 1.0))
+        partial = info.value.trajectory
+        assert partial.times.tolist() == [0.0, 0.001]
+        assert np.isfinite(partial.states).all()
+
     def test_integrate_field_rejects_non_vector_state(self):
         with pytest.raises(DimensionMismatchError):
             integrate_field(lambda u: -u, [[1.0, 2.0]], SolverConfig(Method.EULER, 0.1, 1.0))
@@ -479,6 +491,23 @@ class TestScalarPath:
             _, traj = assert_compiled_equals_array(net, u0, SolverConfig(method, 0.01, 1.0))
             assert forms == guarded
         assert traj.states[-1, 0] < -0.71
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_block_shares_one_sigmoid_per_source(self, monkeypatch, method, guarded):
+        # a realized N = 4 block, 4 sources into 6 neurons: 24 synapses, but
+        # one w * sigma, so one exp, per source in each derivative
+        sources = []
+        monkeypatch.setattr(ltcsim.solver, "compile", raising=False,
+                            value=lambda source, *args: sources.append(source)
+                            or compile(source, *args))
+        net = realized_network(4)
+        assert net._block and net.n_chem == 24
+        ltcsim.solver._compiled_run(net, method, guarded)
+        assert sources[0].count("exp(") == 4
+        monkeypatch.undo()
+        assert_compiled_equals_array(net, np.linspace(-1.0, 1.0, 6),
+                                     SolverConfig(method, 0.01, 0.5))
 
     def test_junction_sides_in_order(self):
         # neuron 0 has a-sides to 1 and 2, then b-sides from 3 and 2: summed

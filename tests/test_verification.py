@@ -28,8 +28,8 @@ from ltcsim import (
     state_bounds,
     tau_bounds,
 )
-from ltcsim.model import _chem_activations
-from helpers import box_arrays, gap_ring, leak_neuron, networks
+from ltcsim.model import _ARRAYS, _chem_activations
+from helpers import box_arrays, gap_ring, leak_neuron, networks, uniform_random_network
 
 
 def closed_form_tau(i, net):
@@ -418,3 +418,33 @@ class TestRandomNetworkGenerator:
         rng = np.random.default_rng(25)
         for _ in range(20):
             assert not random_network(rng, chemical_only=True).gaps
+
+    def test_random_network_equals_uniform_draws(self):
+        """Bit for bit the networks of the ``rng.uniform`` oracle, and the
+        generator left in the same state after every seed."""
+        def bits(net):
+            arrays = [getattr(net, k) for k in _ARRAYS]
+            return ([a.view(np.int64).tobytes() if a.dtype == float else a.tobytes()
+                     for a in arrays], net.n_output, repr(net))
+
+        for seed in range(30):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in range(300):
+                chemical_only = k % 2 == 1
+                assert (bits(random_network(rng, chemical_only))
+                        == bits(uniform_random_network(oracle, chemical_only)))
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64),
+           st.sampled_from([(0.5, 2.0), (-0.5, 0.5), (0.0, 2.0), (-1.0, 1.0), (0.0, 1.0)]))
+    def test_uniform_is_scaled_random(self, seed, n, bounds):
+        """``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()``, as a
+        scalar and as an array, on every range ``random_network`` draws from."""
+        lo, hi = bounds
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        scalars = [a.uniform(lo, hi) for _ in range(n)]
+        assert all(type(v) is float for v in scalars)
+        assert [v.hex() for v in scalars] == [(lo + (hi - lo) * b.random()).hex()
+                                              for _ in range(n)]
+        arrays = a.uniform(lo, hi, n), lo + (hi - lo) * b.random(n)
+        assert arrays[0].view(np.int64).tobytes() == arrays[1].view(np.int64).tobytes()
