@@ -220,9 +220,10 @@ def random_network(rng: np.random.Generator, chemical_only: bool = False) -> Ltc
     U[-1,1]; unless ``chemical_only``, for each hidden pair a < b a gap
     junction with p = 0.3, and then its w_hat U[0,2].  Edges obey the
     feed-forward output rule; hidden autapses are allowed.  Each value is
-    ``lo + (hi - lo) * rng.random()``, numpy's own ``uniform`` arithmetic, so
-    networks and the generator's state equal those of ``rng.uniform`` calls
-    bit for bit (``test_random_network_equals_uniform_draws``).
+    ``lo + (hi - lo) * rng.random()`` (for lo = 0.0 just the product, the
+    same bits), numpy's own ``uniform`` arithmetic, so networks and the
+    generator's state equal those of ``rng.uniform`` calls bit for bit
+    (``test_random_network_equals_uniform_draws``).
     """
     rand = rng.random
     size = int(rng.integers(2, 9))

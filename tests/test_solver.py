@@ -498,9 +498,8 @@ class TestScalarPath:
         # a realized N = 4 block, 4 sources into 6 neurons: 24 synapses, but
         # one w * sigma, so one exp, per source in each derivative
         sources = []
-        monkeypatch.setattr(ltcsim.solver, "compile", raising=False,
-                            value=lambda source, *args: sources.append(source)
-                            or compile(source, *args))
+        monkeypatch.setattr(ltcsim.solver, "compile", lambda source, *args:
+                            sources.append(source) or compile(source, *args), raising=False)
         net = realized_network(4)
         assert net._block and net.n_chem == 24
         ltcsim.solver._compiled_run(net, method, guarded)
