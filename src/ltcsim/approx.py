@@ -252,9 +252,9 @@ def fit_feedforward(
     unit = _halton(n_samples, fld.dim)
     samples = lo + unit * (hi - lo)
     targets = _field_values(fld, samples)
-    hidden = samples @ projection.T
+    hidden = samples @ projection.T  # the features, made in place: never two at once
     hidden += bias
-    hidden = model.expit(hidden)
+    model.expit(hidden, out=hidden)
     gram = hidden.T @ hidden + ridge * np.eye(n_features)
     with np.errstate(over="ignore", invalid="ignore"):  # huge targets give inf or nan
         rhs = hidden.T @ targets
@@ -274,7 +274,7 @@ def fit_feedforward(
     truth = _field_values(fld, grid)
     inner = grid @ projection.T
     inner += bias
-    preds = model.expit(inner) @ readout.T
+    preds = model.expit(inner, out=inner) @ readout.T
     sup_error = float(np.max(np.linalg.norm(truth - preds, axis=1)))
     return FeedForwardApprox(readout, projection, bias, sup_error)
 
@@ -354,30 +354,19 @@ class AugmentedSystem:
         return 1.0 / (1.0 / self.tau_base + self.w_l), self.tau_base
 
 
-def assemble_augmented_system(
-    fit: FeedForwardApprox,
-    tau_base: float,
-    w_l: float,
-    resting_a1: np.ndarray | None = None,
-    resting_a2: np.ndarray | None = None,
-) -> AugmentedSystem:
-    """Build the augmented system for a fitted feed-forward model."""
+def assemble_augmented_system(fit: FeedForwardApprox, tau_base: float, w_l: float
+                              ) -> AugmentedSystem:
+    """Build the augmented system of a fitted model, with constant drives A1 = A2 = 0."""
     _require_positive(tau_base=tau_base, w_l=w_l)
     if tau_base * w_l > 0.01:
         raise ConditionsViolatedError(
             f"tau_base * w_l = {tau_base * w_l:g} exceeds 0.01; the coupling "
             "must stay a small perturbation of the base rate 1/tau"
         )
-    n = fit.n
-    nf = fit.n_features
     b_rev = fit.readout_matrix / w_l
     e_block = fit.projection_matrix @ (w_l * b_rev)
-    a1 = np.zeros(n) if resting_a1 is None else np.asarray(resting_a1, dtype=float)
-    a2 = np.zeros(nf) if resting_a2 is None else np.asarray(resting_a2, dtype=float)
-    if a1.shape != (n,) or a2.shape != (nf,):
-        raise ValueError("resting vectors must have shapes (n,) and (N,)")
-    resting_aug = np.concatenate([a1, a2])
-    return AugmentedSystem(n, nf, b_rev, e_block, fit.bias.copy(), resting_aug, tau_base, w_l)
+    return AugmentedSystem(fit.n, fit.n_features, b_rev, e_block, fit.bias.copy(),
+                           np.zeros(fit.n + fit.n_features), tau_base, w_l)
 
 
 def _drive(system: AugmentedSystem) -> np.ndarray:
@@ -477,22 +466,24 @@ def realize_as_ltc(system: AugmentedSystem) -> LtcNetwork:
     and the constant drives.  So every network with N >= 1 is a block.
     """
     n, nf, tau, mu = system.n, system.N, system.tau_base, system.bias
-    # Row j of the stacked [E; B_rev]^T lists the targets of hidden source
-    # j: hidden neurons 0..N-1, then outputs N..N+n-1.
-    stacked = np.vstack([system.hidden_block, system.readout_block]).T
+    # Row j of the C-contiguous grid [E^T, B_rev^T] lists the targets of hidden
+    # source j: hidden neurons 0..N-1, then outputs N..N+n-1.  It is scaled,
+    # and its hidden columns divided and shifted, in place.
+    e_rev = np.hstack([system.hidden_block.T, system.readout_block.T])
     with np.errstate(over="ignore"):
-        e_rev = nf * stacked
-        e_rev[:, :nf] = e_rev[:, :nf] / system.w_l + mu
-    bad = ~np.isfinite(e_rev)
-    if bad.any():
-        j, r = np.argwhere(bad)[0].tolist()
+        e_rev *= nf
+        e_rev[:, :nf] /= system.w_l
+        e_rev[:, :nf] += mu
+    if not np.isfinite(e_rev).all():
+        j, r = np.argwhere(~np.isfinite(e_rev))[0].tolist()
         block, row = ("hidden", r) if r < nf else ("readout", r - nf)
-        raise RealizationError(f"{block} block entry ({row}, {j}) = {stacked[j, r]!r} "
+        entry = getattr(system, f"{block}_block")[row, j]
+        raise RealizationError(f"{block} block entry ({row}, {j}) = {entry!r} "
                                "needs a non-finite reversal potential")
     return LtcNetwork.from_arrays(
         cm=np.ones(nf + n), g_leak=np.full(nf + n, 1.0 / tau),
         v_leak=np.concatenate([tau * system.resting_aug[n:] + mu, tau * system.resting_aug[:n]]),
-        **model._block_columns(np.full(nf, system.w_l) / nf, np.ones(nf), np.zeros(nf), e_rev),
+        w=np.full(nf, system.w_l) / nf, gamma=np.ones(nf), mu=np.zeros(nf), e_rev=e_rev,
         n_output=n)
 
 

@@ -6,7 +6,8 @@ e_rev), ``gap_junctions`` (columns a, b, w_hat) and ``n_output``; output
 neurons are the LAST n_output indices.  Each group is an object of equal
 length JSON lists, one column a line.  A block's synapses (``LtcNetwork._block``)
 are w, gamma, mu (one value per source) and e_rev (one row per source, one
-value per neuron): synapse r * size + j is source r to neuron j.  Lists of
+value per neuron): synapse r * size + j is source r to neuron j, and the
+reader hands them to ``LtcNetwork.from_arrays`` in its block form.  Lists of
 objects, one per item, are still read.  Parse failures name the offending
 key or item index; a key given twice is an error.
 
@@ -24,7 +25,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, TopologyError
-from .model import _ARRAY_OF, _GROUPS, LtcNetwork, _block_columns, _check
+from .model import _ARRAY_OF, _GROUPS, LtcNetwork, _check
 from .solver import Trajectory
 
 __all__ = [
@@ -156,8 +157,9 @@ def _column_object(group: dict, fields, path, step=1) -> dict:
 
 
 def _read_block(group: dict, path, size) -> dict:
-    """Synapse columns of a block layout, checked and then expanded by
-    ``model._block_columns``."""
+    """A block layout's w, gamma and mu (one per source) and e_rev grid (one
+    row per source), checked here and passed as a block to ``from_arrays``,
+    which expands it."""
     if size is None:  # ragged neuron columns, which from_arrays names first
         return {}
     rows = group["e_rev"]
@@ -171,7 +173,7 @@ def _read_block(group: dict, path, size) -> dict:
     if rows and not size:
         raise FormatError(f"{path}[0]: index out of range for 0 neurons")
     e_rev = _column_object({"e_rev": list(chain.from_iterable(rows))}, ("e_rev",), path)
-    return _block_columns(**cols, e_rev=e_rev["e_rev"].reshape(len(rows), size))
+    return dict(cols, e_rev=e_rev["e_rev"].reshape(len(rows), size))
 
 
 def _unique_keys(pairs) -> dict:

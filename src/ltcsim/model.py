@@ -59,31 +59,33 @@ _libm_spent = 0
 _CHUNK = 8192  # values per map of math.exp: the Python floats held at once
 
 
-def _expit_libm(x) -> np.ndarray:
+def _expit_libm(x, out=None) -> np.ndarray:
     """``scipy.special.expit`` bit for bit via the C library's exp of -x, capped
-    at ``_EXP_MAX``; 0.0 where -x is above it.  Beside ``x`` a call holds one
-    output array, worked in place, and at most ``_CHUNK`` Python floats."""
-    x = np.asarray(x, dtype=float)  # x itself when float64: never written
-    e = np.negative(x, out=np.empty(x.shape))  # out= keeps a 0-d result an array
+    at ``_EXP_MAX``; 0.0 where -x is above it.  It is worked in place in ``out``
+    (new if None; ``x`` itself overwrites the input, else ``x`` is never written),
+    beside which a call holds one bool mask and at most ``_CHUNK`` Python floats."""
+    x = np.asarray(x, dtype=float)
+    under = x < -_EXP_MAX  # taken first: writing out may overwrite x
+    e = np.negative(x, out=np.empty(x.shape) if out is None else out)  # keeps 0-d an array
     np.minimum(e, _EXP_MAX, out=e)
-    flat = e.reshape(-1)
-    for i in range(0, flat.size, _CHUNK):
-        part = flat[i:i + _CHUNK]
-        part[...] = np.fromiter(map(math.exp, part.tolist()), float, part.size)
+    flat = e.reshape(-1) if e.flags.c_contiguous else e.flat  # e.flat: any layout of out
+    for i in range(0, e.size, _CHUNK):
+        flat[i:i + _CHUNK] = np.fromiter(map(math.exp, flat[i:i + _CHUNK].tolist()), float)
     e += 1.0
     np.divide(1.0, e, out=e)
-    np.copyto(e, 0.0, where=x < -_EXP_MAX)
+    np.copyto(e, 0.0, where=under)
     return e
 
 
-def expit(x):
-    """Logistic sigmoid: ``_expit_libm`` within budget, then scipy's, bound here."""
+def expit(x, out=None):
+    """Logistic sigmoid: ``_expit_libm`` within budget, then scipy's, bound here;
+    ``out`` as for a ufunc (``expit(x, out=x)`` works in place)."""
     global expit, _libm_spent
     _libm_spent += np.size(x) + 32
     if _libm_spent <= _LIBM_BUDGET:
-        return _expit_libm(x)
+        return _expit_libm(x, out)
     from scipy.special import expit
-    return expit(x)
+    return expit(x, out=out)
 
 
 _MAX = float(np.finfo(float).max)  # the largest double
@@ -214,15 +216,6 @@ def _column(values, kind, name, f) -> np.ndarray:
         return np.array([int(v) for v in values], dtype=object)
 
 
-def _block_columns(w, gamma, mu, e_rev) -> dict:
-    """``from_arrays``' synapse columns of a block: synapse r * size + j runs from
-    source r to neuron j, with source r's w, gamma and mu and with e_rev[r, j]."""
-    rows, size = e_rev.shape
-    return dict(src=np.repeat(np.arange(rows), size), dst=np.tile(np.arange(size), rows),
-                w=np.repeat(w, size), gamma=np.repeat(gamma, size), mu=np.repeat(mu, size),
-                e_rev=e_rev.ravel())
-
-
 class LtcNetwork:
     """Immutable network: neurons, synapses, junctions and output split.
 
@@ -250,7 +243,10 @@ class LtcNetwork:
     @classmethod
     def from_arrays(cls, cm, g_leak, v_leak, src=(), dst=(), w=(), gamma=(), mu=(),
                     e_rev=(), a=(), b=(), w_hat=(), n_output=0) -> LtcNetwork:
-        """Validate flat per-neuron, per-synapse and per-junction columns."""
+        """Validate flat per-neuron, per-synapse and per-junction columns, each
+        copied, never kept.  A block omits ``src`` and ``dst``, gives ``w``, ``gamma``
+        and ``mu`` per source and ``e_rev`` as an (R, size) grid, and is expanded
+        once: synapse r * size + j runs from source r to neuron j with e_rev[r, j]."""
         net = cls.__new__(cls)
         net._store(dict(cm=cm, g_leak=g_leak, v_leak=v_leak, src=src, dst=dst, w=w,
                         gamma=gamma, mu=mu, e_rev=e_rev, a=a, b=b, w_hat=w_hat),
@@ -261,6 +257,15 @@ class LtcNetwork:
         arrays, groups = [], []
         for g, (name, types, rules) in enumerate(_GROUPS):
             group = [_column(cols[f], kind, name, f) for f, kind in types.items()]
+            if g == 1 and group[5].ndim == 2:  # a block: one e_rev row per source
+                src, dst, w, gamma, mu, grid = group
+                rows, size = grid.shape[0], arrays[0].shape[0]
+                if src.size or dst.size or grid.shape[1] != size or any(
+                        c.shape != (rows,) for c in (w, gamma, mu)):
+                    raise ValueError(f"{name}: a block takes no src or dst, one w, gamma and "
+                                     "mu per e_rev row and one e_rev value per neuron")
+                group = [np.repeat(np.arange(rows), size), np.tile(np.arange(size), rows),
+                         *(np.repeat(c, size) for c in (w, gamma, mu)), grid.reshape(-1)]
             if any(c.ndim != 1 or c.shape != group[0].shape for c in group):
                 raise ValueError(f"{name} columns must be 1-D and of equal length")
             arrays += group
@@ -293,7 +298,7 @@ class LtcNetwork:
                 raise TopologyError(f"{path}[{k}]: " + why.format(first[k]))
         for arr in arrays:
             arr.flags.writeable = False
-        # A block (as _block_columns lays out): no junctions, and sources
+        # A block (as from_arrays lays one out): no junctions, and sources
         # 0..R-1 in order each sending one synapse to every neuron in order,
         # all of a source's synapses sharing (w, gamma, mu) bit for bit.  Its
         # activation columns (_a*) hold one (R, 1) row per source, which

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,9 +151,8 @@ def test_criterion_7_dual_path_equivalence():
             rng.normal(size=(n, nf)), rng.normal(size=(nf, n)),
             rng.normal(size=nf), 0.0,
         )
-        system = assemble_augmented_system(
-            fit, 10.0, 1e-3, rng.normal(size=n) * 0.1, rng.normal(size=nf) * 0.1
-        )
+        system = replace(assemble_augmented_system(fit, 10.0, 1e-3), resting_aug=np.concatenate(
+            [rng.normal(size=n) * 0.1, rng.normal(size=nf) * 0.1]))  # constant drives A1, A2
         net = realize_as_ltc(system)
         z0 = rng.uniform(-1, 1, n + nf)
         cfg = SolverConfig(Method.RK4, 1e-4, 1.0, 10)

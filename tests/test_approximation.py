@@ -157,6 +157,28 @@ class TestFit:
             tracemalloc.stop()
         assert peak < 8 << 20
 
+    def test_fit_and_realize_hold_each_array_once(self, monkeypatch):
+        # N = 256, rotation, seed 8.  The fit takes the sigmoid of its 1024 x
+        # 256 training features and its validation pre-activations in place
+        # (3.1 MiB; 4.7 with a pre-activation array beside each).
+        # realize_as_ltc builds one C-contiguous e_rev grid, and from_arrays
+        # expands it once into a 3.0 MiB network (4.5 MiB above its start;
+        # 8.1 with per-synapse columns that from_arrays copied again)
+        monkeypatch.setattr(model, "expit", model._expit_libm)
+        tracemalloc.start()
+        try:
+            fit = fit_feedforward(rotation_field(), 256, seed=8)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+            system = assemble_augmented_system(fit, 100.0, 1e-4)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            realize_as_ltc(system)
+            realize_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert fit_peak <= 3.3 * 2**20
+        assert realize_peak <= 5.5 * 2**20
+
     def test_deterministic_given_seed(self):
         rot = rotation_field()
         a = fit_feedforward(rot, 16, 256, 1e-8, 5)
@@ -495,9 +517,8 @@ class TestRealize:
             n = int(rng.integers(1, 3))
             nf = int(rng.integers(1, 4))
             fit = random_fit(rng, n, nf)
-            system = assemble_augmented_system(
-                fit, 10.0, 1e-3, rng.normal(size=n) * 0.1, rng.normal(size=nf) * 0.1
-            )
+            system = replace(assemble_augmented_system(fit, 10.0, 1e-3), resting_aug=np.concatenate(
+                [rng.normal(size=n) * 0.1, rng.normal(size=nf) * 0.1]))  # drives A1, A2
             for block in (system.readout_block, system.hidden_block):
                 block[pick.uniform(size=block.shape) < zeros] = 0.0
             net = realize_as_ltc(system)

@@ -108,6 +108,25 @@ class TestSigmoid:
         assert (got.view(np.int64) == want.view(np.int64)).all()
         assert (x.view(np.int64) == before.view(np.int64)).all()  # the input is not written
 
+    @pytest.mark.parametrize("shape", [(2 * len(SIGMOID_EDGES),), (4, 2 * len(SIGMOID_EDGES)),
+                                       (2 * _CHUNK + 3,), (3, _CHUNK // 2 + 7, 1), (0,), ()])
+    @pytest.mark.parametrize("target", ["x", "new", "strided"])
+    def test_libm_path_into_out(self, shape, target):
+        # out=x overwrites x with expit(x)'s bits: the mask of values below
+        # -_EXP_MAX is taken before out is written, else -800.0 would give a
+        # subnormal instead of 0.0.  A separate out, contiguous or strided,
+        # gets the same bits and leaves x as it was
+        x = np.resize(np.array(SIGMOID_EDGES + [-v for v in SIGMOID_EDGES]), shape)
+        before = x.copy()
+        with np.errstate(over="ignore"):
+            want = np.asarray(expit(x))
+        out = {"x": x, "new": np.empty(shape), "strided": np.empty(shape + (2,))[..., 0]}[target]
+        got = _expit_libm(x, out=out)
+        assert got is out and got.shape == shape
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+        if target != "x":
+            assert (x.view(np.int64) == before.view(np.int64)).all()
+
     def test_libm_peak_memory(self):
         # a whole tolist() of 2**18 values and the full-size temporaries
         # beside it peak at 5 times the input's bytes; chunks at about 1.2
@@ -650,3 +669,92 @@ class TestParameterRules:
             assert str(exc.value) == message
         with pytest.raises(ValueError, match=r"^gap_junctions\[0\]: w_hat must be >= 0"):
             LtcNetwork((neuron,) * 3, (), (SimpleNamespace(a=0, b=1, w_hat=-1.0),), 1)
+
+
+class TestBlockArrays:
+    """``LtcNetwork.from_arrays`` given a block: ``src`` and ``dst`` left
+    out, ``w``, ``gamma`` and ``mu`` per source and ``e_rev`` one row per source."""
+
+    NEURONS = {f: np.array(c) for f, c in RULE_NET["neurons"].items()}
+    SYN = RULE_NET["chemical_synapses"]  # a block of 2 sources and 3 neurons
+    BLOCK = dict(w=np.array(SYN["w"][::3]), gamma=np.array(SYN["gamma"][::3]),
+                 mu=np.array(SYN["mu"][::3]), e_rev=np.array(SYN["e_rev"]).reshape(2, 3))
+
+    @staticmethod
+    def flat(block):
+        """The block's synapses as columns, synapse r * size + j from r to j."""
+        rows, size = np.shape(block["e_rev"])
+        return dict(src=np.repeat(np.arange(rows), size), dst=np.tile(np.arange(size), rows),
+                    **{f: np.repeat(block[f], size) for f in ("w", "gamma", "mu")},
+                    e_rev=np.ravel(block["e_rev"]))
+
+    @given(st.data())
+    def test_equals_flat_columns(self, data):
+        size = data.draw(st.integers(1, 5))
+        n_output = data.draw(st.integers(0, size - 1))
+        rows = data.draw(st.integers(0, size - n_output))
+        value = st.floats(0.25, 4.0)
+        block = {f: np.array(data.draw(st.lists(value, min_size=rows, max_size=rows)))
+                 for f in ("w", "gamma", "mu")}
+        block["e_rev"] = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=rows * size,
+                                                     max_size=rows * size))).reshape(rows, size)
+        neurons = dict(cm=np.ones(size), g_leak=np.ones(size), v_leak=np.zeros(size))
+        gaps = data.draw(st.sampled_from([{}, dict(a=[0], b=[size - 1], w_hat=[0.5])]))
+        if gaps and (size < 2 or n_output):  # a junction needs two hidden neurons
+            gaps = {}
+        got = LtcNetwork.from_arrays(**neurons, **block, **gaps, n_output=n_output)
+        want = LtcNetwork.from_arrays(**neurons, **self.flat(block), **gaps, n_output=n_output)
+        assert got == want and got._block == want._block == (rows > 0 and not gaps)
+
+    def test_realized_network_equals_its_columns(self):
+        from helpers import realized_network
+
+        net = realized_network(5)
+        cols = dict(cm=net._cm, g_leak=net._g, v_leak=net._vleak, src=net._src, dst=net._dst,
+                    w=net._w, gamma=net._gamma, mu=net._mu, e_rev=net._erev)
+        flat = LtcNetwork.from_arrays(**cols, n_output=net.n_output)
+        assert flat == net and flat._block and net._block
+
+    @pytest.mark.parametrize("field, r, value, message", [
+        ("w", 1, -0.5, "w must be >= 0, got -0.5"), ("w", 0, math.inf, "w must be finite, got inf"),
+        ("gamma", 0, -0.5, "gamma must be > 0, got -0.5"),
+        ("mu", 1, math.nan, "mu must be finite, got nan"),
+    ])
+    def test_bad_source_named_by_its_first_synapse(self, field, r, value, message):
+        # the flat columns of the same synapses give the same text
+        block = dict(self.BLOCK, **{field: self.BLOCK[field].copy()})
+        block[field][r] = value
+        for cols in (block, self.flat(block)):
+            with pytest.raises(ValueError) as exc:
+                LtcNetwork.from_arrays(**self.NEURONS, **cols, n_output=1)
+            assert str(exc.value) == f"chemical_synapses[{3 * r}]: {message}"
+
+    def test_bad_e_rev_named_by_its_flat_index(self):
+        block = dict(self.BLOCK, e_rev=self.BLOCK["e_rev"].copy(), w=self.BLOCK["w"].copy())
+        block["e_rev"][1, 2] = math.nan
+        with pytest.raises(ValueError) as exc:
+            LtcNetwork.from_arrays(**self.NEURONS, **block, n_output=1)
+        assert str(exc.value) == "chemical_synapses[5]: e_rev must be finite, got nan"
+        block["w"][1] = -1.0  # source 1's first synapse, 3, comes before 5
+        with pytest.raises(ValueError) as exc:
+            LtcNetwork.from_arrays(**self.NEURONS, **block, n_output=1)
+        assert str(exc.value) == "chemical_synapses[3]: w must be >= 0, got -1.0"
+
+    @pytest.mark.parametrize("change", [
+        dict(w=[1.5]), dict(gamma=[2.0, 1.0, 1.0]), dict(mu=[[0.1, -0.2]]), dict(mu=0.1),
+        dict(e_rev=np.zeros((2, 2))), dict(e_rev=np.zeros((2, 4))), dict(e_rev=np.zeros((3, 3))),
+        dict(src=[0, 0, 0, 1, 1, 1]), dict(dst=[0, 1, 2] * 2),
+    ])
+    def test_shape_mismatch_refused(self, change):
+        with pytest.raises(ValueError, match=r"^chemical_synapses: a block takes"):
+            LtcNetwork.from_arrays(**self.NEURONS, **dict(self.BLOCK, **change), n_output=1)
+
+    def test_caller_arrays_kept_apart(self):
+        given = {f: c.copy() for f, c in {**self.NEURONS, **self.BLOCK}.items()}
+        net = LtcNetwork.from_arrays(**given, n_output=1)
+        held = [v for v in vars(net).values() if isinstance(v, np.ndarray)]
+        for f, c in given.items():
+            assert c.flags.writeable, f
+            assert not any(np.shares_memory(c, h) for h in held), f
+            c[...] = -1.0  # writing the caller's arrays leaves the network as built
+        assert net == LtcNetwork.from_arrays(**self.NEURONS, **self.BLOCK, n_output=1)
