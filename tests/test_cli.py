@@ -700,7 +700,7 @@ def test_sigmoid_in_place_on_both_paths():
     # expit(x, out=x) gives expit(x)'s bits on the math.exp path within the
     # budget and on scipy's after the switch; expit(x) leaves x unwritten
     code = """
-import math, sys
+import json, math, sys
 import numpy as np
 import ltcsim.model as model
 m = model._EXP_MAX
@@ -709,19 +709,20 @@ edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -745.2, -800.0, 800.0
 seen = []
 for spent in (0, model._LIBM_BUDGET):
     model.expit(np.zeros(spent))
-    seen.append("scipy.special" in sys.modules)
+    path = "scipy" if "scipy.special" in sys.modules else "libm"
     for x in (np.array(edges * 700), np.array(edges).reshape(13, 1), np.array(-800.0),
               np.array(-0.0), np.array(math.nan)):
         before = x.copy()
         want = model.expit(x)
         kept = (x.view(np.int64) == before.view(np.int64)).all()
         got = model.expit(x, out=x)
-        seen.append(bool(kept and got is x and (got.view(np.int64) == want.view(np.int64)).all()))
-print(seen)
+        same = (got.view(np.int64) == want.view(np.int64)).all()
+        seen.append([path, bool(kept and got is x and same)])
+print(json.dumps(seen))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=subprocess_env())
-    assert out.stdout.strip() == str([False] + [True] * 5 + [True] * 6)
+    assert json.loads(out.stdout) == [["libm", True]] * 5 + [["scipy", True]] * 5
 
 
 def test_sigmoid_paths_write_same_files(capsys, realized_64):

@@ -706,15 +706,6 @@ class TestBlockArrays:
         want = LtcNetwork.from_arrays(**neurons, **self.flat(block), **gaps, n_output=n_output)
         assert got == want and got._block == want._block == (rows > 0 and not gaps)
 
-    def test_realized_network_equals_its_columns(self):
-        from helpers import realized_network
-
-        net = realized_network(5)
-        cols = dict(cm=net._cm, g_leak=net._g, v_leak=net._vleak, src=net._src, dst=net._dst,
-                    w=net._w, gamma=net._gamma, mu=net._mu, e_rev=net._erev)
-        flat = LtcNetwork.from_arrays(**cols, n_output=net.n_output)
-        assert flat == net and flat._block and net._block
-
     @pytest.mark.parametrize("field, r, value, message", [
         ("w", 1, -0.5, "w must be >= 0, got -0.5"), ("w", 0, math.inf, "w must be finite, got inf"),
         ("gamma", 0, -0.5, "gamma must be > 0, got -0.5"),
