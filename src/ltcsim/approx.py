@@ -466,9 +466,9 @@ def realize_as_ltc(system: AugmentedSystem) -> LtcNetwork:
     and the constant drives.  So every network with N >= 1 is a block.
     """
     n, nf, tau, mu = system.n, system.N, system.tau_base, system.bias
-    # Row j of the C-contiguous grid [E^T, B_rev^T] lists the targets of hidden
-    # source j: hidden neurons 0..N-1, then outputs N..N+n-1.  It is scaled,
-    # and its hidden columns divided and shifted, in place.
+    # Row j of the grid [E^T, B_rev^T] (F-contiguous: hstack of two transposes)
+    # lists the targets of hidden source j: hidden neurons 0..N-1, then outputs
+    # N..N+n-1.  It is scaled, and its hidden columns divided and shifted, in place.
     e_rev = np.hstack([system.hidden_block.T, system.readout_block.T])
     with np.errstate(over="ignore"):
         e_rev *= nf

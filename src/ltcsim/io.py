@@ -6,10 +6,10 @@ e_rev), ``gap_junctions`` (columns a, b, w_hat) and ``n_output``; output
 neurons are the LAST n_output indices.  Each group is an object of equal
 length JSON lists, one column a line.  A block's synapses (``LtcNetwork._block``)
 are w, gamma, mu (one value per source) and e_rev (one row per source, one
-value per neuron): synapse r * size + j is source r to neuron j, and the
-reader hands them to ``LtcNetwork.from_arrays`` in its block form.  Lists of
-objects, one per item, are still read.  Parse failures name the offending
-key or item index; a key given twice is an error.
+value per neuron): synapse r * size + j is source r to neuron j.  The network
+holds a block in that form, so the reader and the writer pass it as it is.
+Lists of objects, one per item, are still read.  Parse failures name the
+offending key or item index; a key given twice is an error.
 
 Trajectory CSV: header ``t,v0,v1,...``, one row per recorded time, every
 value serialized with 17 significant digits so read-back is bit-exact.
@@ -65,7 +65,7 @@ def _network_pieces(net: LtcNetwork):
     for name, fields, _ in _GROUPS:
         cols = [(f, getattr(net, _ARRAY_OF[f])) for f in fields]
         if name == "chemical_synapses" and net._block:  # w, gamma, mu once per source
-            cols = [(f, c[::net.size]) for f, c in cols[2:5]] + [("e_rev", net._aerev)]
+            cols = [(f, c.ravel()) for f, c in cols[2:5]] + cols[5:]
         yield f'  "{name}": {{'
         for k, (f, values) in enumerate(cols):
             yield f'{"," if k else ""}\n    "{f}": ['
@@ -158,8 +158,7 @@ def _column_object(group: dict, fields, path, step=1) -> dict:
 
 def _read_block(group: dict, path, size) -> dict:
     """A block layout's w, gamma and mu (one per source) and e_rev grid (one
-    row per source), checked here and passed as a block to ``from_arrays``,
-    which expands it."""
+    row per source), checked here and passed to ``from_arrays`` as they are."""
     if size is None:  # ragged neuron columns, which from_arrays names first
         return {}
     rows = group["e_rev"]
@@ -170,8 +169,6 @@ def _read_block(group: dict, path, size) -> dict:
         if not isinstance(row, list) or len(row) != size:
             raise FormatError(f"{path}.e_rev[{r}] must be a list of {size} values, "
                               "one per neuron")
-    if rows and not size:
-        raise FormatError(f"{path}[0]: index out of range for 0 neurons")
     e_rev = _column_object({"e_rev": list(chain.from_iterable(rows))}, ("e_rev",), path)
     return dict(cols, e_rev=e_rev["e_rev"].reshape(len(rows), size))
 

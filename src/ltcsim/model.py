@@ -195,14 +195,13 @@ _ITEM_TYPES = (NeuronParams, ChemicalSynapse, GapJunction)  # in _GROUPS order
 _ARRAYS = ("_cm", "_g", "_vleak", "_src", "_dst", "_w", "_gamma", "_mu", "_erev",
            "_ga", "_gb", "_gw")
 _ARRAY_OF = dict(zip((f for _, types, _ in _GROUPS for f in types), _ARRAYS))
-_ACT = ("_asrc", "_agamma", "_amu", "_aw", "_aerev", "_adst")
 
 
 def _column(values, kind, name, f) -> np.ndarray:
     """Column ``f`` of group ``name``: floats, or indices, where a float
     must be a whole number (1.0 is 1, 0.7 is refused)."""
     if kind is float:
-        return np.array(values, dtype=float)
+        return np.array(values, dtype=float, order="C")  # a block's grid summed row by row
     given = np.asarray(values)
     if given.dtype.kind == "f":
         bad = ~np.isfinite(given) | (np.trunc(given) != given)
@@ -216,11 +215,18 @@ def _column(values, kind, name, f) -> np.ndarray:
         return np.array([int(v) for v in values], dtype=object)
 
 
+def _per_synapse(*arrays) -> list:
+    """An item group's arrays as columns of one value per item: a block's broadcast
+    to its e_rev grid, the last array, and flattened (synapse r * size + j)."""
+    return [np.broadcast_to(a, arrays[-1].shape).ravel() for a in arrays]
+
+
 class LtcNetwork:
     """Immutable network: neurons, synapses, junctions and output split.
 
-    Output neurons are the last ``n_output`` indices.  Flat parameter
-    arrays are the source of truth.  ``LtcNetwork.from_arrays`` validates
+    Output neurons are the last ``n_output`` indices.  Parameter arrays,
+    each value held once, are the source of truth: columns, or a block's
+    rows and grid (see ``_store``).  ``LtcNetwork.from_arrays`` validates
     them (the rules of ``_GROUPS`` over whole columns, index ranges, the
     feed-forward output rule); the tuple constructor
     ``LtcNetwork(neurons, chem, gaps, n_output)`` converts its items and
@@ -244,9 +250,9 @@ class LtcNetwork:
     def from_arrays(cls, cm, g_leak, v_leak, src=(), dst=(), w=(), gamma=(), mu=(),
                     e_rev=(), a=(), b=(), w_hat=(), n_output=0) -> LtcNetwork:
         """Validate flat per-neuron, per-synapse and per-junction columns, each
-        copied, never kept.  A block omits ``src`` and ``dst``, gives ``w``, ``gamma``
-        and ``mu`` per source and ``e_rev`` as an (R, size) grid, and is expanded
-        once: synapse r * size + j runs from source r to neuron j with e_rev[r, j]."""
+        copied, never kept.  A block omits ``src`` and ``dst`` and gives ``w``,
+        ``gamma`` and ``mu`` per source and ``e_rev`` as an (R, size) grid:
+        synapse r * size + j runs from source r to neuron j with e_rev[r, j]."""
         net = cls.__new__(cls)
         net._store(dict(cm=cm, g_leak=g_leak, v_leak=v_leak, src=src, dst=dst, w=w,
                         gamma=gamma, mu=mu, e_rev=e_rev, a=a, b=b, w_hat=w_hat),
@@ -254,36 +260,52 @@ class LtcNetwork:
         return net
 
     def _store(self, cols, n_output, checked=()):
-        arrays, groups = [], []
-        for g, (name, types, rules) in enumerate(_GROUPS):
+        groups = []
+        for name, types, rules in _GROUPS:
             group = [_column(cols[f], kind, name, f) for f, kind in types.items()]
-            if g == 1 and group[5].ndim == 2:  # a block: one e_rev row per source
+            if group[-1].ndim == 2 and name == "chemical_synapses":  # one e_rev row a source
                 src, dst, w, gamma, mu, grid = group
-                rows, size = grid.shape[0], arrays[0].shape[0]
+                rows, size = grid.shape[0], groups[0][0].shape[0]
                 if src.size or dst.size or grid.shape[1] != size or any(
                         c.shape != (rows,) for c in (w, gamma, mu)):
                     raise ValueError(f"{name}: a block takes no src or dst, one w, gamma and "
                                      "mu per e_rev row and one e_rev value per neuron")
-                group = [np.repeat(np.arange(rows), size), np.tile(np.arange(size), rows),
-                         *(np.repeat(c, size) for c in (w, gamma, mu)), grid.reshape(-1)]
-            if any(c.ndim != 1 or c.shape != group[0].shape for c in group):
+                if rows and not size:  # sources, though the empty grid names no synapse
+                    raise ValueError(f"{name}[0]: index out of range for 0 neurons")
+                group = [np.arange(rows)[:, None], np.arange(size),
+                         *(c[:, None] for c in (w, gamma, mu)), grid]
+            elif any(c.ndim != 1 or c.shape != group[0].shape for c in group):
                 raise ValueError(f"{name} columns must be 1-D and of equal length")
-            arrays += group
-            if group[0].size and g not in checked:  # an empty group breaks no rule
-                groups.append((name, rules, dict(zip(types, group))))
-        for name, rules, group in groups:  # each rule over whole columns
-            ok = np.logical_and.reduce([test(group) for test, _ in rules])
-            if not ok.all():  # the first bad item, worded by the same rules
-                k = int(np.argmin(ok))
-                _check(rules, {f: c.item(k) for f, c in group.items()}, f"{name}[{k}]: ")
-        cm, g, vleak, src, dst, w, gamma, mu, erev, ga, gb, gw = arrays
+            groups.append(group)
+        (cm, g, vleak), syn, (ga, gb, gw) = groups
         size = cm.shape[0]
+        # A block: no junctions, and sources 0..R-1 in order each sending one synapse
+        # to every neuron in order, all of a source's synapses sharing (w, gamma, mu)
+        # bit for bit.  Given so or laid out by columns, it is held as (R, 1) rows of
+        # src, w, gamma and mu, dst 0..size-1 and a C-contiguous (R, size) e_rev grid.
+        rows = len(syn[0]) // size if size and syn[5].ndim == 1 and not gw.size else 0
+        grid = [c.reshape(rows, size) for c in syn] if rows * size == len(syn[0]) > 0 else ()
+        if grid and (grid[0] == np.arange(rows)[:, None]).all() and (
+                grid[1] == np.arange(size)).all() and all(
+                (c.view(np.int64) == c[:, :1].view(np.int64)).all() for c in grid[2:5]):
+            groups[1] = syn = [np.arange(rows)[:, None], np.arange(size),
+                               *(c[:, :1].copy() for c in grid[2:5]), grid[5]]
+        elif syn[5].ndim == 2 and (gw.size or not syn[5].size):  # then no block
+            groups[1] = syn = _per_synapse(*syn)
+        for i, ((name, types, rules), group) in enumerate(zip(_GROUPS, groups)):
+            if group[0].size and i not in checked:  # an empty group breaks no rule
+                group = dict(zip(types, group))  # each rule over whole (broadcast) columns
+                ok = np.logical_and.reduce(np.broadcast_arrays(*(t(group) for t, _ in rules)))
+                if not ok.all():  # the first bad item, worded by the same rules
+                    k = int(np.argmin(ok))
+                    _check(rules, {f: np.broadcast_to(c, ok.shape).item(k)
+                                   for f, c in group.items()}, f"{name}[{k}]: ")
         n_output = int(n_output)
         if not 0 <= n_output <= size:
             raise ValueError(f"n_output must be between 0 and {size}, got {n_output}")
         n_hidden = size - n_output
         edges = (
-            ("chemical_synapses", src, dst, src >= n_hidden,
+            ("chemical_synapses", *np.broadcast_arrays(syn[0], syn[1]), syn[0] >= n_hidden,
              "source {} is an output neuron; outputs must not project to any neuron"),
             ("gap_junctions", ga, gb, (ga >= n_hidden) | (gb >= n_hidden),
              "endpoint touches an output neuron; "
@@ -293,25 +315,12 @@ class LtcNetwork:
             out = (first >= size) | (second >= size)
             if (out | touches).any():
                 k = int(np.argmax(out | touches))
-                if out[k]:
+                if out.flat[k]:
                     raise ValueError(f"{path}[{k}]: index out of range for {size} neurons")
-                raise TopologyError(f"{path}[{k}]: " + why.format(first[k]))
+                raise TopologyError(f"{path}[{k}]: " + why.format(first.flat[k]))
+        arrays = [cm, g, vleak, *syn, ga, gb, gw]
         for arr in arrays:
             arr.flags.writeable = False
-        # A block (as from_arrays lays one out): no junctions, and sources
-        # 0..R-1 in order each sending one synapse to every neuron in order,
-        # all of a source's synapses sharing (w, gamma, mu) bit for bit.  Its
-        # activation columns (_a*) hold one (R, 1) row per source, which
-        # broadcasts against e_rev as an (R, size) grid; otherwise they are
-        # the synapse columns themselves.
-        rows = src.size // size if size and not gw.size and src.size % size == 0 else 0
-        grid = [c.reshape(rows, size) for c in (src, dst, w, gamma, mu)] if rows else ()
-        block = rows > 0 and bool(
-            (grid[0] == np.arange(rows)[:, None]).all() and (grid[1] == np.arange(size)).all()
-            and all((c.view(np.int64) == c[:, :1].view(np.int64)).all() for c in grid[2:]))
-        act = ((grid[0][:, :1], grid[3][:, :1], grid[4][:, :1], grid[2][:, :1],
-                erev.reshape(rows, size), slice(None)) if block
-               else (src, gamma, mu, w, erev, dst))
         # Attributes are set with object.__setattr__ (never through __dict__)
         # and in the same order for every network, which keeps CPython's
         # attribute reads on their fast path (measurably so in
@@ -323,7 +332,7 @@ class LtcNetwork:
                             ("_gself", np.concatenate([ga, gb])),
                             ("_gother", np.concatenate([gb, ga])), ("_cache", {}),
                             ("_gw2", np.concatenate([gw, gw]) if gw.size else None),
-                            ("_block", block), *zip(_ACT, act)):
+                            ("_block", syn[5].ndim == 2)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -348,8 +357,8 @@ class LtcNetwork:
     def _items(self, group: int) -> tuple:
         """Tuple view of one item list, built on first use."""
         if group not in self._cache:
-            cols = (getattr(self, _ARRAY_OF[f]).tolist() for f in _GROUPS[group][1])
-            self._cache[group] = tuple(map(_ITEM_TYPES[group], *cols))
+            cols = _per_synapse(*(getattr(self, _ARRAY_OF[f]) for f in _GROUPS[group][1]))
+            self._cache[group] = tuple(map(_ITEM_TYPES[group], *(c.tolist() for c in cols)))
         return self._cache[group]
 
     neurons = property(lambda self: self._items(0))
@@ -363,8 +372,8 @@ class LtcNetwork:
         if "tau" not in self._cache:
             with np.errstate(divide="ignore", over="ignore"):
                 self._cache["tau"] = (
-                    self._cm / _conductance_loads(self, np.ones(self._aw.shape)),
-                    self._cm / _conductance_loads(self, np.zeros(self._aw.shape)))
+                    self._cm / _conductance_loads(self, np.ones(self._w.shape)),
+                    self._cm / _conductance_loads(self, np.zeros(self._w.shape)))
         return self._cache["tau"]
 
     @property
@@ -373,7 +382,7 @@ class LtcNetwork:
 
     @property
     def n_chem(self) -> int:
-        return self._w.shape[0]
+        return self._erev.size
 
     @property
     def n_gaps(self) -> int:
@@ -441,8 +450,8 @@ def _chem_activations(net: LtcNetwork, u: np.ndarray) -> np.ndarray:
     """Sigmoid activations at ``u`` (one state, or one per row): one per
     synapse, or one (R, 1) row per source of a block.  ``take`` beats fancy
     indexing on rows; ``u[src]`` is faster for one state's few sources."""
-    src = net._asrc
-    return expit(net._agamma * ((u[src] if u.ndim == 1 else u.take(src, axis=1)) + net._amu))
+    src = net._src
+    return expit(net._gamma * ((u[src] if u.ndim == 1 else u.take(src, axis=1)) + net._mu))
 
 
 def _inflow(net: LtcNetwork, base, chem: np.ndarray, gap) -> np.ndarray:
@@ -485,7 +494,7 @@ def _conductance_loads(net: LtcNetwork, sig: np.ndarray) -> np.ndarray:
     interval bounds of ``verify.tau_bounds`` so the membership inequality
     holds exactly in floating point (one accumulation order for all).
     """
-    return _inflow(net, net._g, net._aw * sig, net._gw2)
+    return _inflow(net, net._g, net._w * sig, net._gw2)
 
 
 def network_derivative(state, net: LtcNetwork) -> np.ndarray:
@@ -494,10 +503,10 @@ def network_derivative(state, net: LtcNetwork) -> np.ndarray:
     A huge state may raise numpy's overflow warning: an ``np.errstate`` per
     call would cost ~0.5 us of a ~4 us call, so the solver sets one per run."""
     u = _state(state, net)
-    wsig = net._aw * _chem_activations(net, u)
+    wsig = net._w * _chem_activations(net, u)
     gap = None if net._gw2 is None else net._gw2 * (u[net._gother] - u[net._gself])
     return _inflow(net, net._g * (net._vleak - u),
-                   wsig * (net._aerev - u[net._adst]), gap) / net._cm
+                   wsig * (net._erev - u[net._dst]), gap) / net._cm
 
 
 def effective_time_constant(i: int, state, net: LtcNetwork) -> float:

@@ -30,6 +30,7 @@ from .model import (
     LtcNetwork,
     _chem_activations,
     _inflow,
+    _per_synapse,
     network_derivative,
     validate_state,
 )
@@ -127,8 +128,8 @@ def _rk4_update(f, u: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _semi_implicit_update(net: LtcNetwork, u: np.ndarray, dt: float) -> np.ndarray:
-    wsig = net._aw * _chem_activations(net, u)
-    a_num = _inflow(net, net._g * net._vleak, wsig * net._aerev,
+    wsig = net._w * _chem_activations(net, u)
+    a_num = _inflow(net, net._g * net._vleak, wsig * net._erev,
                     None if net._gw2 is None else net._gw2 * u[net._gother])
     b_den = _inflow(net, net._g, wsig, net._gw2)
     return (u + dt * (a_num / net._cm)) / (1.0 + dt * (b_den / net._cm))
@@ -144,11 +145,11 @@ def _compiled_run(net: LtcNetwork, method: Method, guarded: bool = False):
     where a sigmoid is 0.0."""
     lit = _literal
     # -gamma: (-gamma) * y is -(gamma * y) bit for bit, so exp gets model's -t
+    src, dst, *syn = _per_synapse(net._src, net._dst, net._w, -net._gamma, net._mu, net._erev)
     cm, g, vleak, w, ngamma, mu, erev = (list(map(lit, a.tolist())) for a in (
-        net._cm, net._g, net._vleak, net._w, -net._gamma, net._mu, net._erev))
+        net._cm, net._g, net._vleak, *syn))
     gvleak = [lit(a * b) for a, b in zip(net._g.tolist(), net._vleak.tolist())]
-    src, dst = net._src.tolist(), net._dst.tolist()
-    into = [[k for k, d in enumerate(dst) if d == i] for i in range(net.size)]
+    into = [np.flatnonzero(dst == i).tolist() for i in range(net.size)]
     # each neuron's junctions as (other end, w_hat), a-sides first
     ends = list(zip(net._gself.tolist(), net._gother.tolist(), map(lit, net._gw.tolist() * 2)))
     gaps = [[(j, wh) for e, j, wh in ends if e == i] for i in range(net.size)]

@@ -35,6 +35,7 @@ from .model import (
     NeuronParams,
     _chem_activations,
     _conductance_loads,
+    _per_synapse,
 )
 from .solver import Trajectory
 
@@ -116,7 +117,7 @@ def _box_edges(net: LtcNetwork) -> tuple[np.ndarray, np.ndarray]:
     maximum return the second operand on ties, so the synapses run in reverse
     and v_leak comes last: of equal values (0.0 and -0.0) the leak, then the
     earliest synapse wins, as with Python's ``min(v_leak, min(e_revs))``."""
-    dst, erev = net._dst[::-1], net._erev[::-1]
+    dst, erev = (c[::-1] for c in _per_synapse(net._dst, net._erev))
     lo = np.full(net.size, np.inf)
     hi = np.full(net.size, -np.inf)
     np.minimum.at(lo, dst, erev)
@@ -171,7 +172,7 @@ def monitor_trajectory(
     # Rows are checked in chunks that keep the (row, activation) values
     # near 2**16.  Flags and values are stacked as (row, kind, neuron),
     # so one nonzero lists the entries row by row, kind by kind, neuron by neuron.
-    block = max(1, 2**16 // max(net._aw.size, 1))
+    block = max(1, 2**16 // max(net._w.size, 1))
     for start in range(0, traj.n_points, block):
         u = traj.states[start:start + block]
         # gamma * (v + mu) may overflow to +-inf, whose sigmoid is exactly 1 or 0

@@ -42,6 +42,7 @@ from ltcsim import (
     network_derivative,
     neuron_derivative,
     parse_field,
+    parse_network,
     realize_as_ltc,
     serialize_network,
     simulate,
@@ -541,7 +542,7 @@ class TestRealize:
         system = assemble_augmented_system(fit, 10.0, 1e-3)
         net = realize_as_ltc(system)
         assert net._block and net.n_chem == 3 * 5 and not net.gaps
-        assert net._aerev.tolist() == [[0.5, -0.25, 0.0, 0.0, 0.0]] * 3
+        assert net._erev.tolist() == [[0.5, -0.25, 0.0, 0.0, 0.0]] * 3
         assert (net._w == 1e-3 / 3).all()
 
     def test_realized_topology_feed_forward(self):
@@ -602,6 +603,60 @@ class TestRealize:
             chem = w * expit(gamma * (u[src] + mu)) * (e_rev - u[dst])
             want = (g * (v_leak - u) + np.bincount(dst, chem, net.size)) / cm
             assert (network_derivative(u, net).view(np.int64) == want.view(np.int64)).all()
+
+    def test_grid_layout_keeps_every_bit(self):
+        # realize_as_ltc hands over an F-ordered grid; from_arrays holds a
+        # C-contiguous copy of any grid, whose source axis numpy then sums row
+        # by row: kept F-ordered, the sum would go pairwise and, at N >= 64,
+        # change a derivative's last bits
+        net = realized_network(64, seed=5)
+        grid = np.array(net._erev)
+        wide = np.zeros((2 * grid.shape[0], 3 * grid.shape[1]))
+        wide[::2, ::3] = grid
+        cols = dict(cm=net._cm, g_leak=net._g, v_leak=net._vleak, w=net._w[:, 0],
+                    gamma=net._gamma[:, 0], mu=net._mu[:, 0], n_output=net.n_output)
+        nets = [LtcNetwork.from_arrays(**cols, e_rev=e)
+                for e in (grid, np.asfortranarray(grid), wide[::2, ::3])]
+        rng = np.random.default_rng(5)
+        states = rng.uniform(-2.0, 2.0, (5, net.size))
+        states[1, 2], states[2, 0], states[3] = np.nan, np.inf, -0.0
+        states[4, 1::3] = 1e7  # outside every box
+        traj = Trajectory(0.5 * np.arange(5), states)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = per_row_monitor(traj, net, 1e-6)
+        assert len(want) > net.size // 3
+        for u in states[[0, 4]]:
+            loop = np.array([neuron_derivative(i, u, net) for i in range(net.size)])
+            step = semi_implicit_step(u, net, 0.1)
+            for case in nets:
+                assert case == net and case._block and case._erev.flags.c_contiguous
+                assert (network_derivative(u, case).view(np.int64) == loop.view(np.int64)).all()
+                assert (one_step(Method.SEMI_IMPLICIT, u, case, 0.1).view(np.int64)
+                        == step.view(np.int64)).all()
+        for case in nets:
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert entry_bits(monitor_trajectory(traj, case, 1e-6).entries) == entry_bits(want)
+
+    def test_block_parameters_held_once(self):
+        # the (R, 1) rows and the e_rev grid are a block's only synapse
+        # storage, realized, read or given as columns: every array a network
+        # holds, with the arrays they view, totals the grid plus O(R + size) bytes
+        system = assemble_augmented_system(fit_feedforward(rotation_field(), 256, seed=61),
+                                           100.0, 1e-4)
+        net = realize_as_ltc(system)
+        flat = model._per_synapse(net._src, net._dst, net._w, net._gamma, net._mu, net._erev)
+        columns = LtcNetwork.from_arrays(
+            net._cm, net._g, net._vleak, *flat, n_output=net.n_output)
+        for case in (net, parse_network(serialize_network(net)), columns):
+            owners = {}
+            for a in vars(case).values():
+                while isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray):
+                    a = a.base
+                if isinstance(a, np.ndarray):
+                    owners[id(a)] = a.nbytes
+            grid = case._erev.nbytes
+            assert case._block and case == net and grid == 256 * 258 * 8
+            assert sum(owners.values()) <= 1.05 * grid + 64 * 1024
 
     def test_realized_network_is_a_block(self):
         # every source drives every neuron with one (w, gamma, mu).  A network

@@ -740,6 +740,46 @@ class TestBlockArrays:
         with pytest.raises(ValueError, match=r"^chemical_synapses: a block takes"):
             LtcNetwork.from_arrays(**self.NEURONS, **dict(self.BLOCK, **change), n_output=1)
 
+    @given(st.data())
+    def test_block_and_columns_refused_alike(self, data):
+        # every broken rule: a bad w, gamma, mu or e_rev, a source that is an
+        # output neuron or past the last neuron; the block form, checked over
+        # its rows broadcast against the grid, raises what its columns raise
+        size = data.draw(st.integers(1, 4))
+        n_output = data.draw(st.integers(0, size))
+        rows = data.draw(st.integers(1, size + 2))
+        good = st.floats(0.25, 4.0)
+        bad = {"w": [math.nan, math.inf, -math.inf, -0.5, -5e-324],
+               "gamma": [0.0, -0.0, -1.0, math.nan, math.inf],
+               "mu": [math.nan, math.inf, -math.inf], "e_rev": [math.nan, -math.inf]}
+        block = {f: np.array(data.draw(st.lists(good | st.sampled_from(values),
+                                                min_size=rows, max_size=rows)))
+                 for f, values in bad.items() if f != "e_rev"}
+        block["e_rev"] = np.array(data.draw(st.lists(
+            st.floats(-4.0, 4.0) | st.sampled_from(bad["e_rev"]),
+            min_size=rows * size, max_size=rows * size))).reshape(rows, size)
+        neurons = dict(cm=np.ones(size), g_leak=np.ones(size), v_leak=np.zeros(size))
+        gaps = data.draw(st.sampled_from([{}, dict(a=[0], b=[size - 1], w_hat=[0.5])]))
+        raised = []
+        for cols in (block, self.flat(block)):
+            try:
+                LtcNetwork.from_arrays(**neurons, **cols, **gaps, n_output=n_output)
+                raised.append(None)
+            except (ValueError, TopologyError) as exc:
+                raised.append((type(exc), str(exc)))
+        assert raised[0] == raised[1]
+
+    def test_sources_without_neurons_refused(self):
+        # the grid of R sources and no neurons holds no synapse, but its
+        # sources are out of range, as a network document says too
+        empty = dict(cm=[], g_leak=[], v_leak=[])
+        with pytest.raises(ValueError) as exc:
+            LtcNetwork.from_arrays(**empty, w=[-1.0], gamma=[math.nan], mu=[0.0],
+                                   e_rev=np.empty((1, 0)))
+        assert str(exc.value) == "chemical_synapses[0]: index out of range for 0 neurons"
+        net = LtcNetwork.from_arrays(**empty, w=[], gamma=[], mu=[], e_rev=np.empty((0, 0)))
+        assert net.size == net.n_chem == 0 and not net._block
+
     def test_caller_arrays_kept_apart(self):
         given = {f: c.copy() for f, c in {**self.NEURONS, **self.BLOCK}.items()}
         net = LtcNetwork.from_arrays(**given, n_output=1)
