@@ -26,6 +26,7 @@ and the state-dependent decay stays within [1/tau, 1/tau + w_l].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import count, islice
 
@@ -503,11 +504,11 @@ class PipelineConfig:
     eta: float | None = None
 
     def __post_init__(self):
-        for name in ("n_features", "n_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("n_features", 1), ("n_samples", 1), ("seed", 0)):
+            value = operator.index(getattr(self, name))  # refused here, not deep in numpy
+            setattr(self, name, value)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         positive = ("tau_base", "w_l", "gamma_scale", "ltc_dt", "ref_dt")
         positive += () if self.eta is None else ("eta",)
         _require_positive(**{name: getattr(self, name) for name in positive})

@@ -25,7 +25,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, TopologyError
-from .model import _ARRAY_OF, _GROUPS, LtcNetwork, _check
+from .model import _ARRAY_OF, _GROUPS, LtcNetwork
 from .solver import Trajectory
 
 __all__ = [
@@ -90,27 +90,23 @@ def _check_keys(item, required, path):
         raise FormatError(f"{path}: unknown key {extra[0]!r}")
 
 
-def _typed(item, key, path, kind):
-    """``item[key]`` as ``kind``: a JSON integer for int, any JSON number for float."""
-    v = item[key]
+def _typed(v, path, kind):
+    """Raise at ``path`` unless ``v`` is a JSON integer (int ``kind``) or number in float range."""
     if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
         what = "an integer" if kind is int else "a number"
-        raise FormatError(f"{path}.{key}: expected {what}, got {v!r}")
+        raise FormatError(f"{path}: expected {what}, got {v!r}")
     try:
-        return kind(v)
+        kind(v)
     except OverflowError:
-        raise FormatError(f"{path}.{key}: number out of float range") from None
+        raise FormatError(f"{path}: number out of float range") from None
 
 
 def _columns(items, group, path, size) -> dict:
     """Columns of ``_GROUPS[group]``, keyed by field: an object of columns (for
-    the synapses of ``size`` neurons, maybe a block), or a list of JSON objects.
-
-    Key sets and value types are checked for the whole group at once.  If
-    that fails, each item's keys, types and parameter rules are checked in
-    document order, and the first bad item raises the error, named by its index.
-    """
-    _, fields, rules = _GROUPS[group]
+    the synapses of ``size`` neurons, maybe a block), or a list of JSON objects,
+    read as columns once every item has exactly the group's keys (else the first
+    item with other keys is named), so checked as the column layout, in its order."""
+    fields = _GROUPS[group][1]
     if items is None:
         items = []
     if isinstance(items, dict):
@@ -123,14 +119,10 @@ def _columns(items, group, path, size) -> dict:
         if set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(fields)}:
             cols = {f: list(map(itemgetter(f), items)) for f in fields}
             return _column_object(cols, fields, path)
-    except (KeyError, FormatError):
+    except KeyError:
         pass
-    # Every way the whole-list pass can fail is a key, type or range error
-    # that one of the per-item checks raises.
-    for k, item in enumerate(items):
+    for k, item in enumerate(items):  # some item's keys are wrong: name the first
         _check_keys(item, fields, f"{path}[{k}]")
-        row = {f: _typed(item, f, f"{path}[{k}]", kind) for f, kind in fields.items()}
-        _check(rules, row, f"{path}[{k}]: ", FormatError)
 
 
 def _column_object(group: dict, fields, path, step=1) -> dict:
@@ -152,7 +144,7 @@ def _column_object(group: dict, fields, path, step=1) -> dict:
         except OverflowError:
             pass
         for k, v in enumerate(col):
-            _typed({f: v}, f, f"{path}[{k * step}]", kind)
+            _typed(v, f"{path}[{k * step}].{f}", kind)
     return cols
 
 

@@ -125,11 +125,18 @@ _GROUPS = (
 )
 
 
-def _check(rules, d, prefix="", error=ValueError) -> None:
-    """Raise ``error`` with ``prefix`` and the message of the first rule ``d`` breaks."""
+def _check(rules, d, prefix="") -> None:
+    """Raise ValueError with ``prefix`` and the message of the first rule ``d`` breaks."""
     for test, message in rules:
         if not test(d):
-            raise error(prefix + message.format_map(d))
+            raise ValueError(prefix + message.format_map(d))
+
+
+def _index(value, name) -> int:
+    """``value`` as an int; a float only if whole, where int() would truncate."""
+    if type(value) is not int and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 class _Item:
@@ -141,9 +148,7 @@ class _Item:
         for f, kind in types.items():
             d[f] = value = getattr(self, f)
             if type(value) is not kind:  # else kind(value) is value itself
-                if kind is int and not float(value).is_integer():  # int() would truncate
-                    raise ValueError(f"{f} must be an integer, got {value}")
-                d[f] = value = kind(value)
+                d[f] = value = _index(value, f) if kind is int else kind(value)
                 object.__setattr__(self, f, value)
         _check(rules, d)
 
@@ -300,7 +305,7 @@ class LtcNetwork:
                     k = int(np.argmin(ok))
                     _check(rules, {f: np.broadcast_to(c, ok.shape).item(k)
                                    for f, c in group.items()}, f"{name}[{k}]: ")
-        n_output = int(n_output)
+        n_output = _index(n_output, "n_output")
         if not 0 <= n_output <= size:
             raise ValueError(f"n_output must be between 0 and {size}, got {n_output}")
         n_hidden = size - n_output
@@ -448,10 +453,10 @@ def neuron_derivative(i: int, state, net: LtcNetwork) -> float:
 
 def _chem_activations(net: LtcNetwork, u: np.ndarray) -> np.ndarray:
     """Sigmoid activations at ``u`` (one state, or one per row): one per
-    synapse, or one (R, 1) row per source of a block.  ``take`` beats fancy
-    indexing on rows; ``u[src]`` is faster for one state's few sources."""
+    synapse, or one (R, 1) row per source of a block.  Rows are gathered by
+    ``u[:, src]``, faster than ``u.take(src, axis=1)`` with the same bits."""
     src = net._src
-    return expit(net._gamma * ((u[src] if u.ndim == 1 else u.take(src, axis=1)) + net._mu))
+    return expit(net._gamma * ((u[src] if u.ndim == 1 else u[:, src]) + net._mu))
 
 
 def _inflow(net: LtcNetwork, base, chem: np.ndarray, gap) -> np.ndarray:

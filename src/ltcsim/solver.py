@@ -49,10 +49,10 @@ __all__ = [
 # derivative evaluations.  A compile costs 0.3-1.1 ms at 24 units, 2.3-5.3 ms at
 # 112-128; an Euler step then about 0.1 us per unit (arrays: 8-22 us; RK4 x4).
 # The paths meet at 2.5-6.3 evaluations per unit up to 112 units and 4.5-8.4 at
-# 120-128 (2 shared vCPUs; BENCH_15.json).  A block shares one sigmoid per source,
-# as arrays do: at N = 8 (110 units), 1,000 Euler steps take 5.2-5.5 ms compiled
-# against 11 on arrays (BENCH_25.json).  Sigmoids carry no overflow guard: an
-# exp overflow reruns the whole run compiled with ``guarded``.
+# 120-128 (2 shared vCPUs; BENCH_15.json).  A block's sigmoids, one per source as on
+# arrays: at N = 8 (110 units), 1,000 Euler steps take 5.2-5.5 ms compiled against
+# 11 on arrays (BENCH_25.json).  Sigmoids carry no overflow guard: an exp overflow
+# reruns the whole run compiled with ``guarded``.
 _MAX_UNITS = 128
 _UNIT_EVALS = 5
 _MAX_STEPS = 2**50
@@ -128,10 +128,10 @@ def _rk4_update(f, u: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _semi_implicit_update(net: LtcNetwork, u: np.ndarray, dt: float) -> np.ndarray:
-    wsig = net._w * _chem_activations(net, u)
-    a_num = _inflow(net, net._g * net._vleak, wsig * net._erev,
+    act = net._w * _chem_activations(net, u)
+    a_num = _inflow(net, net._g * net._vleak, act * net._erev,
                     None if net._gw2 is None else net._gw2 * u[net._gother])
-    b_den = _inflow(net, net._g, wsig, net._gw2)
+    b_den = _inflow(net, net._g, act, net._gw2)
     return (u + dt * (a_num / net._cm)) / (1.0 + dt * (b_den / net._cm))
 
 
@@ -144,12 +144,14 @@ def _compiled_run(net: LtcNetwork, method: Method, guarded: bool = False):
     first non-finite step or 0.  Unless ``guarded``, exp raises OverflowError
     where a sigmoid is 0.0."""
     lit = _literal
-    # -gamma: (-gamma) * y is -(gamma * y) bit for bit, so exp gets model's -t
-    src, dst, *syn = _per_synapse(net._src, net._dst, net._w, -net._gamma, net._mu, net._erev)
+    # activations as stored (one a synapse, or one a block's source) and ``of``, each
+    # synapse's; -gamma: (-gamma) * y is -(gamma * y) bit for bit, so exp gets model's -t
+    asrc, *act = (a.ravel() for a in (net._src, net._w, -net._gamma, net._mu))
+    of, dst, erev = _per_synapse(np.arange(asrc.size).reshape(net._w.shape), net._dst, net._erev)
     cm, g, vleak, w, ngamma, mu, erev = (list(map(lit, a.tolist())) for a in (
-        net._cm, net._g, net._vleak, *syn))
+        net._cm, net._g, net._vleak, *act, erev))
     gvleak = [lit(a * b) for a, b in zip(net._g.tolist(), net._vleak.tolist())]
-    into = [np.flatnonzero(dst == i).tolist() for i in range(net.size)]
+    into = [[(f"a{of[k]}", erev[k]) for k in np.flatnonzero(dst == i)] for i in range(net.size)]
     # each neuron's junctions as (other end, w_hat), a-sides first
     ends = list(zip(net._gself.tolist(), net._gother.tolist(), map(lit, net._gw.tolist() * 2)))
     gaps = [[(j, wh) for e, j, wh in ends if e == i] for i in range(net.size)]
@@ -159,32 +161,27 @@ def _compiled_run(net: LtcNetwork, method: Method, guarded: bool = False):
         text = f"(0.0 + {' + '.join(terms)})" if terms else "0.0"
         return (f" + {text}" if net.n_gaps else "") if gap else text
 
-    def wsig(k) -> str:
-        # sigma parenthesized, lest w * sigma be read as (w * 1.0) / ...
-        t = f"{ngamma[k]} * ({x[src[k]]} + {mu[k]})"
-        return f"{w[k]} * " + (f"(0.0 if (t := {t}) > {_EXP_MAX!r} else 1.0 / (1.0 + exp(t)))"
-                               if guarded else f"(1.0 / (1.0 + exp({t})))")
-
     x = [f"x{i}" for i in range(net.size)]
-    # a block's source r shares one w * sigma, a<r>, set before each derivative
-    shared = [f"a{src[k]} = {wsig(k)}" for k in range(0, len(src), net.size)] if net._block else []
-    term = (lambda k: f"a{src[k]}") if net._block else wsig
+    # a<c> = w * (sigma) before each derivative: w * 1.0 / d would be (w * 1.0) / d
+    sigma = (f"(0.0 if (t := {{}}) > {_EXP_MAX!r} else 1.0 / (1.0 + exp(t)))" if guarded
+             else "(1.0 / (1.0 + exp({})))")
+    acts = [f"a{c} = {w[c]} * " + sigma.format(f"{ngamma[c]} * ({x[s]} + {mu[c]})")
+            for c, s in enumerate(asrc.tolist())]
 
     def derivative() -> list:
         return [f"({g[i]} * ({vleak[i]} - {xi}) + "
-                + total([f"{term(k)} * ({erev[k]} - {xi})" for k in into[i]])
+                + total([f"{a} * ({e} - {xi})" for a, e in into[i]])
                 + total([f"{wh} * ({x[j]} - {xi})" for j, wh in gaps[i]], True) + f") / {cm[i]}"
                 for i, xi in enumerate(x)]
 
     state = f"[{', '.join(x)}]"
-    head, hoist, body = [], [], []
+    head, hoist, body = [], [], acts
     if method is Method.EULER:
-        body = shared
         new = [f"{xi} + dt * ({d})" for xi, d in zip(x, derivative())]
     elif method is Method.RK4:
         # a derivative function called four times compiles 2x faster than inlined
         ks = [[f"k{s}_{i}" for i in range(net.size)] for s in range(4)]
-        head = [f"def f({', '.join(x)}):", *(f" {line}" for line in shared),
+        head = [f"def f({', '.join(x)}):", *(f" {line}" for line in acts),
                 f" return [{', '.join(derivative())}]"]
         hoist = ["h = 0.5 * dt", "c = dt / 6.0"]
         ys = [x] + [[f"{xi} + {h} * {k}" for xi, k in zip(x, ks[s])]
@@ -193,14 +190,12 @@ def _compiled_run(net: LtcNetwork, method: Method, guarded: bool = False):
         new = [f"{xi} + c * ({a} + 2.0 * {b} + 2.0 * {d} + {e})"
                for xi, a, b, d, e in zip(x, *ks)]
     else:
-        body = shared or [f"s{k} = {wsig(k)}" for k in range(len(src))]
-        held = term if net._block else (lambda k: f"s{k}")
         new = []
         for i, xi in enumerate(x):
-            num = (f"{gvleak[i]} + " + total([f"{held(k)} * {erev[k]}" for k in into[i]])
+            num = (f"{gvleak[i]} + " + total([f"{a} * {e}" for a, e in into[i]])
                    + total([f"{wh} * {x[j]}" for j, wh in gaps[i]], True))
             # a junction load is a sum of literals, which compile folds
-            den = (f"{g[i]} + " + total([held(k) for k in into[i]])
+            den = (f"{g[i]} + " + total([a for a, _ in into[i]])
                    + total([wh for _, wh in gaps[i]], True))
             new.append(f"({xi} + dt * (({num}) / {cm[i]})) / (1.0 + dt * (({den}) / {cm[i]}))")
     body.append(f"{state} = [{', '.join(new)}]")

@@ -728,6 +728,15 @@ class TestPipeline:
                     PipelineConfig(**{name: value})
         assert PipelineConfig(eta=0.05, gamma_scale=2.0).eta == 0.05
 
+    def test_config_rejects_non_integer_counts(self):
+        # refused when built, not deep inside numpy's sampling and fitting
+        for name, value in (("n_features", math.nan), ("n_samples", 2.5), ("seed", 1.5),
+                            ("n_features", 8.0)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                PipelineConfig(**{name: value})
+        config = PipelineConfig(n_features=np.int64(8), n_samples=np.int32(64), seed=np.uint8(3))
+        assert [type(v) for v in (config.n_features, config.n_samples, config.seed)] == [int] * 3
+
     def test_zero_field_trivial(self):
         fld = VectorField(2, lambda x: np.zeros(2), [[-1, 1], [-1, 1]])
         report = approximate_trajectory(fld, [0.0, 0.0], 1.0,

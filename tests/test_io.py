@@ -127,6 +127,31 @@ class TestNetworkDocument:
         assert items.chem == columns.chem == net.chem
         assert items.gaps == columns.gaps == net.gaps
 
+    @given(networks(), st.data())
+    def test_same_faults_same_message_in_both_layouts(self, net, data):
+        # one or two faults, each a wrong type or a broken rule, anywhere in the
+        # document: the item and the column layout name the same first one
+        doc = json.loads(reference_document(net))
+        groups = [name for name, group in doc.items() if name != "n_output" and group]
+        if not groups:
+            return
+        for _ in range(data.draw(st.integers(1, 2))):
+            item = data.draw(st.sampled_from(doc[data.draw(st.sampled_from(groups))]))
+            field = data.draw(st.sampled_from(sorted(item)))
+            wrong = ["x", None, True, [1.0]] + ([1.5, 2.0] if type(item[field]) is int else [])
+            broken = {"cm": [0.0, -1.0], "g_leak": [-0.5], "w": [-0.5], "gamma": [0.0, -2.0],
+                      "w_hat": [-0.5], "src": [-1, net.size], "dst": [-2, net.size + 3],
+                      "a": [-1, item.get("b")], "b": [-3, item.get("a")]}.get(field, [])
+            item[field] = data.draw(st.sampled_from(wrong + broken))
+        columns = {name: {f: [x[f] for x in group] for f in group[0]} if group else group
+                   for name, group in doc.items() if name != "n_output"}
+        messages = []
+        for text in (json.dumps(doc), json.dumps(dict(columns, n_output=net.n_output))):
+            with pytest.raises(FormatError) as exc:
+                parse_network(text)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
     @given(block_networks())
     def test_block_layout_written_and_read(self, net):
         assert net._block
@@ -215,12 +240,12 @@ class TestNetworkDocument:
         doc["chemical_synapses"][4]["w"] = -2.0
         with pytest.raises(FormatError, match=r"chemical_synapses\[2\]: w must be >= 0"):
             parse_network(json.dumps(doc))
-        # a value error still wins over a type error further down the list
+        # a type error wins over a value error, as in the column layout
         doc["chemical_synapses"][4]["w"] = "heavy"
-        with pytest.raises(FormatError, match=r"chemical_synapses\[2\]: w"):
+        with pytest.raises(FormatError, match=r"chemical_synapses\[4\]\.w: expected"):
             parse_network(json.dumps(doc))
-        doc["chemical_synapses"][1]["mu"] = None
-        with pytest.raises(FormatError, match=r"chemical_synapses\[1\]\.mu: expected"):
+        doc["chemical_synapses"][1]["w"] = None
+        with pytest.raises(FormatError, match=r"chemical_synapses\[1\]\.w: expected"):
             parse_network(json.dumps(doc))
         doc["chemical_synapses"] = [dict(syn) for _ in range(6)]
         doc["chemical_synapses"][3]["dst"] = 7

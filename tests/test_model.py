@@ -557,10 +557,14 @@ class TestParameterRules:
         items = {name: [dict(zip(fields, row)) for row in zip(*fields.values())]
                  for name, fields in cols.items()}
         docs = [dict(items, n_output=1), dict(cols, n_output=1)]
-        # a type error in the group's last item sends it through the per-item checks
+        # a type error in the group's last item wins, as in the column layout
         typed = dict(items, n_output=1, **{group: [dict(x) for x in items[group]]})
         typed[group][-1][field] = "x"
-        docs.append(typed)
+        with pytest.raises(FormatError) as exc:
+            parse_network(json.dumps(typed))
+        what = "an integer" if field in RULE_INDICES else "a number"
+        last = len(typed[group]) - 1
+        assert str(exc.value) == f"{group}[{last}].{field}: expected {what}, got 'x'"
         if field not in ("src", "dst", "e_rev"):  # a block gives w, gamma, mu per source
             syn = RULE_NET["chemical_synapses"]
             block = {f: syn[f][::3] for f in ("w", "gamma", "mu")}
@@ -645,6 +649,18 @@ class TestParameterRules:
         with pytest.raises(ValueError) as exc:
             LtcNetwork.from_arrays(**big, n_output=1)
         assert str(exc.value) == "chemical_synapses[3]: index out of range for 3 neurons"
+
+    @pytest.mark.parametrize("value", [2.5, -0.5, math.inf, -math.inf, math.nan])
+    def test_fractional_n_output_refused(self, value):
+        # int() would truncate 2.5 to 2 and raise OverflowError on inf
+        for build in (lambda n: LtcNetwork.from_arrays([1.0] * 3, [1.0] * 3, [0.0] * 3,
+                                                       n_output=n),
+                      lambda n: LtcNetwork((NeuronParams(1.0, 1.0, 0.0),) * 3, (), (), n)):
+            with pytest.raises(ValueError) as exc:
+                build(value)
+            assert str(exc.value) == f"n_output must be an integer, got {value}"
+            assert build(2.0) == build(np.int64(2)) == build(2)
+            assert type(build(2.0).n_output) is int
 
     def test_other_item_objects_checked(self):
         # only the item dataclasses have checked their own rules: any other

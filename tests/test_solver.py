@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -507,6 +508,32 @@ class TestScalarPath:
         monkeypatch.undo()
         assert_compiled_equals_array(net, np.linspace(-1.0, 1.0, 6),
                                      SolverConfig(method, 0.01, 0.5))
+
+    @staticmethod
+    def assert_one_sigmoid_per_activation(net, activations):
+        # each activation, one per synapse or per block source, gets one
+        # a<c> = w * sigma statement, so one exp, in every method's source
+        for method in Method:
+            for guarded in (False, True):
+                sources = []
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(ltcsim.solver, "compile", lambda source, *args: sources.append(
+                        source) or compile(source, *args), raising=False)
+                    ltcsim.solver._compiled_run(net, method, guarded)
+                assert sources[0].count("exp(") == activations
+                names = re.findall(r"^ *a(\d+) = ", sources[0], re.MULTILINE)
+                assert sorted(map(int, names)) == list(range(activations))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_sigmoid_per_block_source(self, n):
+        net = realized_network(n)
+        assert net._block and net.n_chem == n * (n + 2)
+        self.assert_one_sigmoid_per_activation(net, n)
+
+    @given(networks() | networks(shared=True))
+    def test_one_sigmoid_per_synapse(self, net):
+        assume(not net._block)  # a random network is rarely a block
+        self.assert_one_sigmoid_per_activation(net, net.n_chem)
 
     def test_junction_sides_in_order(self):
         # neuron 0 has a-sides to 1 and 2, then b-sides from 3 and 2: summed
