@@ -26,7 +26,6 @@ and the state-dependent decay stays within [1/tau, 1/tau + w_l].
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from itertools import count, islice
 
@@ -229,6 +228,8 @@ def fit_feedforward(
     ridge solution on a Halton sample of the domain; the reported sup
     error is measured on a held-out regular grid.
     """
+    n_features = model._count(n_features, "n_features")
+    n_samples = model._count(n_samples, "n_samples")
     if n_features < 1:
         raise ValueError(f"n_features must be >= 1, got {n_features}")
     if n_samples < 1:
@@ -505,7 +506,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name, least in (("n_features", 1), ("n_samples", 1), ("seed", 0)):
-            value = operator.index(getattr(self, name))  # refused here, not deep in numpy
+            value = model._count(getattr(self, name), name)  # refused here, not in numpy
             setattr(self, name, value)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")

@@ -25,6 +25,7 @@ stated once, in the table ``_GROUPS``, which checks items and columns alike.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,11 +133,22 @@ def _check(rules, d, prefix="") -> None:
             raise ValueError(prefix + message.format_map(d))
 
 
-def _index(value, name) -> int:
-    """``value`` as an int; a float only if whole, where int() would truncate."""
-    if type(value) is not int and not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return int(value)
+def _number(value, kind, name):
+    """``value`` as ``kind``, float or int: an int from a float only if whole."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):  # float("1.0") is 1.0, True is 1
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
+    if kind is int and type(value) is not int and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")  # int() would truncate
+    return kind(value)
+
+
+def _count(value, name) -> int:
+    """``operator.index(value)``, whose TypeError is prefixed with ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise TypeError(f"{name}: {exc}") from None
 
 
 class _Item:
@@ -148,7 +160,7 @@ class _Item:
         for f, kind in types.items():
             d[f] = value = getattr(self, f)
             if type(value) is not kind:  # else kind(value) is value itself
-                d[f] = value = _index(value, f) if kind is int else kind(value)
+                d[f] = value = _number(value, kind, f)
                 object.__setattr__(self, f, value)
         _check(rules, d)
 
@@ -204,10 +216,13 @@ _ARRAY_OF = dict(zip((f for _, types, _ in _GROUPS for f in types), _ARRAYS))
 
 def _column(values, kind, name, f) -> np.ndarray:
     """Column ``f`` of group ``name``: floats, or indices, where a float
-    must be a whole number (1.0 is 1, 0.7 is refused)."""
-    if kind is float:
-        return np.array(values, dtype=float, order="C")  # a block's grid summed row by row
+    must be a whole number (1.0 is 1, 0.7 is refused); never strings or bools."""
     given = np.asarray(values)
+    if given.size and given.dtype.kind in "USb":  # raise at the first string or bool given
+        for k, value in enumerate(np.asarray(values, object).ravel()):
+            _number(value, kind, f"{name}[{k}]: {f}")
+    if kind is float:
+        return np.array(given, dtype=float, order="C")  # a block's grid summed row by row
     if given.dtype.kind == "f":
         bad = ~np.isfinite(given) | (np.trunc(given) != given)
         if bad.any():
@@ -305,7 +320,7 @@ class LtcNetwork:
                     k = int(np.argmin(ok))
                     _check(rules, {f: np.broadcast_to(c, ok.shape).item(k)
                                    for f, c in group.items()}, f"{name}[{k}]: ")
-        n_output = _index(n_output, "n_output")
+        n_output = _number(n_output, int, "n_output")
         if not 0 <= n_output <= size:
             raise ValueError(f"n_output must be between 0 and {size}, got {n_output}")
         n_hidden = size - n_output
@@ -452,11 +467,9 @@ def neuron_derivative(i: int, state, net: LtcNetwork) -> float:
 
 
 def _chem_activations(net: LtcNetwork, u: np.ndarray) -> np.ndarray:
-    """Sigmoid activations at ``u`` (one state, or one per row): one per
-    synapse, or one (R, 1) row per source of a block.  Rows are gathered by
-    ``u[:, src]``, faster than ``u.take(src, axis=1)`` with the same bits."""
-    src = net._src
-    return expit(net._gamma * ((u[src] if u.ndim == 1 else u[:, src]) + net._mu))
+    """Sigmoid activations at the state ``u``: one per synapse, or one (R, 1)
+    row per source of a block."""
+    return expit(net._gamma * (u[net._src] + net._mu))
 
 
 def _inflow(net: LtcNetwork, base, chem: np.ndarray, gap) -> np.ndarray:
@@ -465,13 +478,12 @@ def _inflow(net: LtcNetwork, base, chem: np.ndarray, gap) -> np.ndarray:
 
     This is the one accumulation behind the derivative, the semi-implicit
     step and the conductance loads, so all of them sum in the order of the
-    per-neuron loop.  A 2-D ``chem`` (one row per state) is summed row by
-    row in the same order through the offset indices ``dst + size * row``.
+    per-neuron loop.
 
     A block's terms come as an (R, size) grid, each neuron's column summed
     in source order from +0.0 (a reduction over a leading axis runs row by
     row, never pairwise), or as (R, 1) terms that every neuron shares,
-    summed once per state by ``accumulate``, which is sequential too.
+    summed once by ``accumulate``, which is sequential too.
 
     ``gap`` None (no junctions) skips the gap sum bit for bit: bincount sums
     start at +0.0, so ``base + chem_in`` is never -0.0 and + 0.0 is a no-op.
@@ -479,26 +491,16 @@ def _inflow(net: LtcNetwork, base, chem: np.ndarray, gap) -> np.ndarray:
     size = net.size
     if net._block:
         if chem.shape[-1] == 1:  # 0.0 + turns an all -0.0 sum into bincount's +0.0
-            return base + (0.0 + np.add.accumulate(chem, axis=-2)[..., -1, :])
+            return base + (0.0 + np.add.accumulate(chem)[-1])
         return base + np.add.reduce(chem, axis=0, initial=0.0)
-    if chem.ndim == 1:
-        chem_in = np.bincount(net._dst, weights=chem, minlength=size)
-    else:
-        rows = chem.shape[0]
-        dst = (net._dst + size * np.arange(rows)[:, None]).ravel()
-        chem_in = np.bincount(dst, weights=chem.ravel(),
-                              minlength=rows * size).reshape(rows, size)
-    s = base + chem_in
+    s = base + np.bincount(net._dst, weights=chem, minlength=size)
     return s if gap is None else s + np.bincount(net._gself, weights=gap, minlength=size)
 
 
 def _conductance_loads(net: LtcNetwork, sig: np.ndarray) -> np.ndarray:
-    """Per-neuron g_leak + sum(w * sig) + sum(w_hat) for given activations.
-
-    Shared by the effective time-constant, the trajectory monitor and the
-    interval bounds of ``verify.tau_bounds`` so the membership inequality
-    holds exactly in floating point (one accumulation order for all).
-    """
+    """Per-neuron g_leak + sum(w * sig) + sum(w_hat) for given activations: one
+    accumulation order for the effective time constant and the interval bounds
+    of ``verify.tau_bounds``, so that membership holds in floating point too."""
     return _inflow(net, net._g, net._w * sig, net._gw2)
 
 

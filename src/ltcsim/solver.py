@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .model import (
     _EXP_MAX,
     LtcNetwork,
     _chem_activations,
+    _count,
     _inflow,
     _per_synapse,
     network_derivative,
@@ -86,7 +86,7 @@ class SolverConfig:
         if self.t_end / self.dt > _MAX_STEPS:
             raise ValueError(f"t_end / dt must be at most 2**50 steps, "
                              f"got {self.t_end} / {self.dt}")
-        object.__setattr__(self, "record_every", operator.index(self.record_every))
+        object.__setattr__(self, "record_every", _count(self.record_every, "record_every"))
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 

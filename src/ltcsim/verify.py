@@ -5,9 +5,9 @@ The time-constant interval for neuron i is
     cm / (g_leak + sum w + sum w_hat)  <=  tau_i  <=  cm / (g_leak + sum w_hat)
 
 (chemical weights over incoming synapses, junction conductances over
-touching junctions).  Membership of the effective time constant is an
-algebraic consequence of the activations lying in [0, 1], so the monitor
-checks it with zero tolerance.
+touching junctions).  The effective time constant lies in it at every state,
+as the activations lie in [0, 1], and in floating point too (tests pin it),
+so the monitor evaluates no activation.
 
 The state box for chemical-only networks is
 
@@ -16,7 +16,7 @@ The state box for chemical-only networks is
 and is forward invariant; state checks carry a tolerance because a
 discrete solver can transiently overshoot.  Networks with gap junctions
 get no state box (the invariance argument only covers chemical synapses),
-so the monitor then checks time constants alone.
+so the monitor then checks finiteness alone.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .model import (
     GapJunction,
     LtcNetwork,
     NeuronParams,
-    _chem_activations,
-    _conductance_loads,
     _per_synapse,
 )
 from .solver import Trajectory
@@ -78,8 +76,6 @@ class StateBox:
 
 
 class ViolationKind(enum.Enum):
-    TAU_LOW = "TAU_LOW"
-    TAU_HIGH = "TAU_HIGH"
     STATE_LOW = "STATE_LOW"
     STATE_HIGH = "STATE_HIGH"
     NON_FINITE = "NON_FINITE"
@@ -140,13 +136,11 @@ def state_bounds(net: LtcNetwork) -> list[StateBox]:
 def monitor_trajectory(
     traj: Trajectory, net: LtcNetwork, tolerance: float = 1e-6
 ) -> ViolationReport:
-    """Check every recorded state against the tau intervals and state boxes.
-
-    Tau membership is exact (no tolerance); state boxes are widened by
-    ``tolerance``, which must be finite and >= 0.  Gap-junction networks are
-    checked for tau only.  Every non-finite state component is reported
-    first, as ``NON_FINITE`` (its bound is nan), since no comparison can
-    hold for it.
+    """Check every recorded state: each non-finite component first, as
+    ``NON_FINITE`` (its bound is nan), since no comparison can hold for it,
+    then the state boxes widened by ``tolerance``, which must be finite and
+    >= 0.  Gap-junction networks have no boxes, so only finiteness is checked.
+    No time constant is evaluated: none can leave its interval (module notes).
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
@@ -155,38 +149,27 @@ def monitor_trajectory(
             f"trajectory has {traj.states.shape[1]} columns, network has "
             f"{net.size} neurons"
         )
-    tau_min, tau_max = net._tau_range
-    kinds = [ViolationKind.TAU_LOW, ViolationKind.TAU_HIGH]
-    bounds = [tau_min, tau_max]
-    if not net.n_gaps:
-        kinds += [ViolationKind.STATE_LOW, ViolationKind.STATE_HIGH]
-        bounds += _box_edges(net)
-        lo, hi = bounds[2] - tolerance, bounds[3] + tolerance
-    bounds = np.array(bounds)  # (kind, neuron)
     report = ViolationReport(tolerance=tolerance)
     for row, i in zip(*np.nonzero(~np.isfinite(traj.states))):
         report.entries.append(
             Violation(float(traj.times[row]), int(i), ViolationKind.NON_FINITE,
                       float(traj.states[row, i]), math.nan)
         )
-    # Rows are checked in chunks that keep the (row, activation) values
-    # near 2**16.  Flags and values are stacked as (row, kind, neuron),
-    # so one nonzero lists the entries row by row, kind by kind, neuron by neuron.
-    block = max(1, 2**16 // max(net._w.size, 1))
-    for start in range(0, traj.n_points, block):
-        u = traj.states[start:start + block]
-        # gamma * (v + mu) may overflow to +-inf, whose sigmoid is exactly 1 or 0
-        with np.errstate(divide="ignore", over="ignore"):
-            tau = net._cm / _conductance_loads(net, _chem_activations(net, u))
-        flags, values = [tau < tau_min, tau > tau_max], [tau, tau]
-        if not net.n_gaps:
-            flags += [u < lo, u > hi]
-            values += [u, u]
-        rows, kind, i = np.nonzero(np.stack(flags, axis=1))
+    if net.n_gaps:
+        return report
+    bounds = np.array(_box_edges(net))  # (kind, neuron)
+    lo, hi = bounds[0] - tolerance, bounds[1] + tolerance
+    kinds = (ViolationKind.STATE_LOW, ViolationKind.STATE_HIGH)
+    # Rows are checked in chunks of about 2**16 state values.  Flags are
+    # stacked as (row, kind, neuron), so one nonzero lists the entries row
+    # by row, kind by kind, neuron by neuron.
+    chunk = max(1, 2**16 // max(net.size, 1))
+    for start in range(0, traj.n_points, chunk):
+        u = traj.states[start:start + chunk]
+        rows, kind, i = np.nonzero(np.stack([u < lo, u > hi], axis=1))
         report.entries += map(
             Violation, traj.times[start + rows].tolist(), i.tolist(),
-            [kinds[k] for k in kind.tolist()],
-            np.stack(values, axis=1)[rows, kind, i].tolist(), bounds[kind, i].tolist())
+            [kinds[k] for k in kind.tolist()], u[rows, i].tolist(), bounds[kind, i].tolist())
     return report
 
 

@@ -189,6 +189,24 @@ class TestFit:
         assert (a.bias == b.bias).all()
         assert a.sup_error == b.sup_error
 
+    def test_non_integer_counts_refused_before_sampling(self, monkeypatch):
+        rot = rotation_field()
+        want = fit_feedforward(rot, 4, 16, 1e-8, 5)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw was made before the counts were checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for name, args in (("n_features", (2.5,)), ("n_samples", (4, 10.0)),
+                           ("n_features", ("4",)), ("n_samples", (4, None))):
+            with pytest.raises(TypeError, match=rf"^{name}: '\w+' object cannot be "
+                                                "interpreted as an integer$"):
+                fit_feedforward(rot, *args)
+        monkeypatch.undo()
+        got = fit_feedforward(rot, np.int64(4), np.uint16(16), 1e-8, 5)
+        assert (got.readout_matrix == want.readout_matrix).all()
+        assert got.sup_error == want.sup_error
+
     def test_rank_deficiency_at_zero_ridge(self):
         with pytest.raises(RankDeficiencyError, match="ridge"):
             fit_feedforward(neg_field(), 8, 3, 0.0, 0)
@@ -736,6 +754,13 @@ class TestPipeline:
                 PipelineConfig(**{name: value})
         config = PipelineConfig(n_features=np.int64(8), n_samples=np.int32(64), seed=np.uint8(3))
         assert [type(v) for v in (config.n_features, config.n_samples, config.seed)] == [int] * 3
+
+    def test_config_count_errors_name_their_field(self):
+        for name, value, kind in (("n_features", 8.0, "float"), ("n_samples", 2.5, "float"),
+                                  ("seed", 1.5, "float"), ("seed", "3", "str")):
+            with pytest.raises(TypeError, match=rf"^{name}: '{kind}' object cannot be "
+                                                "interpreted as an integer$"):
+                PipelineConfig(**{name: value})
 
     def test_zero_field_trivial(self):
         fld = VectorField(2, lambda x: np.zeros(2), [[-1, 1], [-1, 1]])

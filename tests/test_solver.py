@@ -343,6 +343,12 @@ class TestSimulate:
         b = integrate_field(lambda u: network_derivative(u, net), u0, cfg)
         assert (a.states == b.states).all()
 
+    def test_record_every_error_names_its_field(self):
+        for stride, kind in ((1.5, "float"), (2.0, "float"), ("2", "str"), (None, "NoneType")):
+            with pytest.raises(TypeError, match=rf"^record_every: '{kind}' object cannot be "
+                                                "interpreted as an integer$"):
+                SolverConfig(Method.EULER, 0.1, 1.0, stride)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(Method.RK4, 0.0, 1.0, 1)

@@ -21,15 +21,16 @@ from ltcsim import (
     Violation,
     ViolationKind,
     conservation_check,
-    effective_time_constant,
     monitor_trajectory,
     random_network,
     simulate,
     state_bounds,
     tau_bounds,
 )
-from ltcsim.model import _ARRAYS, _chem_activations
-from helpers import box_arrays, gap_ring, leak_neuron, networks, uniform_random_network
+from ltcsim import model
+from ltcsim.model import _ARRAYS
+from helpers import (box_arrays, gap_ring, leak_neuron, networks, realized_network,
+                     uniform_random_network)
 
 
 def closed_form_tau(i, net):
@@ -254,6 +255,27 @@ class TestMonitor:
             with pytest.raises(ValueError, match="tolerance"):
                 monitor_trajectory(traj, net, tol)
 
+    def test_no_activation_evaluated(self, monkeypatch):
+        # tau cannot leave its interval at any state, so the monitor checks
+        # only finiteness and the boxes: with the sigmoid gone, it still runs
+        rng = np.random.default_rng(30)
+        nets = [random_network(rng, chemical_only=k % 2 == 0) for k in range(8)]
+        nets += [gap_ring(), realized_network(6)]
+        assert any(net.n_gaps for net in nets) and nets[-1]._block
+        cases = []
+        for net in nets:
+            states = rng.uniform(-3.0, 3.0, (6, net.size))
+            states[1, 0], states[2, -1], states[4, 0] = np.nan, np.inf, -np.inf
+            traj = Trajectory(np.arange(6.0), states)
+            cases.append((net, traj, per_row_monitor(traj, net, 1e-6)))
+
+        def no_sigmoid(*args, **kwargs):
+            raise AssertionError("the monitor evaluated an activation")
+
+        monkeypatch.setattr(model, "expit", no_sigmoid)
+        for net, traj, want in cases:
+            assert entry_bits(monitor_trajectory(traj, net, 1e-6).entries) == entry_bits(want)
+
     def test_dimension_mismatch(self):
         from ltcsim import DimensionMismatchError
 
@@ -269,19 +291,14 @@ def per_row_monitor(traj, net, tolerance):
     entries = [Violation(float(traj.times[row]), int(i), ViolationKind.NON_FINITE,
                          float(traj.states[row, i]), math.nan)
                for row, i in zip(*np.nonzero(~np.isfinite(traj.states)))]
-    taus = [tau_bounds(i, net) for i in range(net.size)]
     boxes = None if net.n_gaps else state_bounds(net)
     for t, u in zip(traj.times.tolist(), traj.states):
         found = {kind: [] for kind in ViolationKind}
         for i in range(net.size):
-            tau = effective_time_constant(i, u, net)
             v = float(u[i])
-            checks = [(ViolationKind.TAU_LOW, tau, taus[i].tau_min, tau < taus[i].tau_min),
-                      (ViolationKind.TAU_HIGH, tau, taus[i].tau_max, tau > taus[i].tau_max)]
-            if boxes is not None:
-                checks += [
-                    (ViolationKind.STATE_LOW, v, boxes[i].lo, v < boxes[i].lo - tolerance),
-                    (ViolationKind.STATE_HIGH, v, boxes[i].hi, v > boxes[i].hi + tolerance)]
+            checks = [] if boxes is None else [
+                (ViolationKind.STATE_LOW, v, boxes[i].lo, v < boxes[i].lo - tolerance),
+                (ViolationKind.STATE_HIGH, v, boxes[i].hi, v > boxes[i].hi + tolerance)]
             for kind, value, bound, hit in checks:
                 if hit:
                     found[kind].append(Violation(t, i, kind, value, bound))
@@ -327,12 +344,7 @@ class TestMonitorOracle:
         with np.errstate(over="ignore", invalid="ignore"):
             got = monitor_trajectory(traj, net, tolerance).entries
             want = per_row_monitor(traj, net, tolerance)
-            # tau cannot leave its interval, so check the activations the
-            # monitor's blocks gather too: every row as for a single state
-            rows = _chem_activations(net, traj.states)
-            single = [_chem_activations(net, u) for u in traj.states]
         assert entry_bits(got) == entry_bits(want)
-        assert np.array_equal(rows, np.reshape(single, rows.shape), equal_nan=True)
 
     @given(checked_trajectories(block=True), st.sampled_from([0.0, 1e-6]))
     def test_blocks_equal_per_row_oracle(self, case, tolerance):
@@ -344,8 +356,8 @@ class TestMonitorOracle:
         assert entry_bits(got) == entry_bits(want)
 
     def test_rows_span_several_blocks(self):
-        # fully wired hidden layers: 33,488 synapses checks one row per block,
-        # 19,880 synapses three rows per block (blocks of 3, 3 and 1 rows)
+        # fully wired hidden layers: 33,488 and 19,880 synapses, none of which
+        # the monitor evaluates, and entries equal to the per-row oracle's
         rng = np.random.default_rng(26)
         for n_hidden in (182, 140):
             size = n_hidden + 2
@@ -364,6 +376,24 @@ class TestMonitorOracle:
             got = monitor_trajectory(traj, net, 1e-6).entries
             assert any(v.kind is ViolationKind.STATE_HIGH for v in got)
             assert entry_bits(got) == entry_bits(per_row_monitor(traj, net, 1e-6))
+
+    def test_rows_span_several_chunks(self):
+        # 8 neurons: chunks of 8,192 rows, so 20,000 rows take three, and
+        # entries at a chunk's first and last rows keep their order
+        rng = np.random.default_rng(31)
+        net = random_network(rng, chemical_only=True)
+        while net.size != 8:
+            net = random_network(rng, chemical_only=True)
+        lo, hi = box_arrays(state_bounds(net))
+        states = rng.uniform(lo, hi, (20_000, 8))
+        for row in (0, 8191, 8192, 16383, 16384, 19999):
+            states[row, row % 8] = hi[row % 8] + 1.0
+            states[row, (row + 3) % 8] = lo[(row + 3) % 8] - 1.0
+        states[8192, 5] = np.nan
+        traj = Trajectory(0.5 * np.arange(20_000), states)
+        got = monitor_trajectory(traj, net, 1e-6).entries
+        assert len(got) == 13
+        assert entry_bits(got) == entry_bits(per_row_monitor(traj, net, 1e-6))
 
 
 class TestConservation:
