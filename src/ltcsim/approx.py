@@ -226,17 +226,11 @@ def fit_feedforward(
     over the negated projected range of each feature, which centers the
     sigmoid transitions inside the box.  The readout is the closed-form
     ridge solution on a Halton sample of the domain; the reported sup
-    error is measured on a held-out regular grid.
+    error is measured on a held-out regular grid.  The arguments are
+    checked by ``PipelineConfig``'s rules before anything is drawn.
     """
-    n_features = model._count(n_features, "n_features")
-    n_samples = model._count(n_samples, "n_samples")
-    if n_features < 1:
-        raise ValueError(f"n_features must be >= 1, got {n_features}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not (math.isfinite(ridge) and ridge >= 0):
-        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
-    _require_positive(gamma_scale=gamma_scale)
+    checked = PipelineConfig(n_features, n_samples, ridge, seed, gamma_scale=gamma_scale)
+    n_features, n_samples, seed = checked.n_features, checked.n_samples, checked.seed
     lo = fld.domain[:, 0]
     hi = fld.domain[:, 1]
     radius = float(np.linalg.norm(hi - lo)) / 2.0

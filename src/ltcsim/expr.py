@@ -93,6 +93,11 @@ _TOKEN = re.compile(
 )
 
 
+def _fail(message: str, pos: int):
+    """Raise the parse error ``message`` at column ``pos`` of the text."""
+    raise ExprError(f"{message} at column {pos}", pos)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i = 0
@@ -100,7 +105,7 @@ def _tokenize(text: str) -> list[_Token]:
         match = _TOKEN.match(text, i)
         if match is None:
             what = "malformed number" if text[i] == "." else f"unexpected character {text[i]!r}"
-            raise ExprError(f"{what} at column {i}", i)
+            _fail(what, i)
         if match.lastgroup != "SPACE":
             tokens.append(_Token(match.lastgroup, match.group(), i))
         i = match.end()
@@ -122,23 +127,20 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Token):
-        raise ExprError(f"{message} at column {tok.pos}", tok.pos)
-
     def integer(self, tok: _Token, digits: str) -> int:
         try:
             return int(digits)
         except ValueError:  # Python converts at most 4300 digits
-            self.fail("integer too long", tok)
+            _fail("integer too long", tok.pos)
 
     def parse(self) -> Expr:
         try:
             node = self.expr()
         except RecursionError:
-            self.fail("expression nested too deeply", self.peek())
+            _fail("expression nested too deeply", self.peek().pos)
         tok = self.peek()
         if tok.kind != "EOF":
-            self.fail(f"unexpected {tok.text!r}", tok)
+            _fail(f"unexpected {tok.text!r}", tok.pos)
         return node
 
     def expr(self) -> Expr:
@@ -167,7 +169,7 @@ class _Parser:
             self.advance()
             tok = self.peek()
             if tok.kind != "NUMBER" or not tok.text.isdigit():
-                self.fail("exponent must be an unsigned integer", tok)
+                _fail("exponent must be an unsigned integer", tok.pos)
             self.advance()
             node = Pow(node, self.integer(tok, tok.text))
         return node
@@ -180,30 +182,29 @@ class _Parser:
             node = self.expr()
             closing = self.advance()
             if closing.kind != "RPAREN":
-                self.fail("expected ')'", closing)
+                _fail("expected ')'", closing.pos)
             return node
         if tok.kind == "IDENT":
             name = tok.text
             if name.startswith("x") and name[1:].isdigit():
                 index = self.integer(tok, name[1:])
                 if index < 1:
-                    self.fail("variable indices start at x1", tok)
+                    _fail("variable indices start at x1", tok.pos)
                 self.max_index = max(self.max_index, index)
                 return Var(index)
             if self.peek().kind != "LPAREN":
                 if name in FUNCTIONS:
-                    self.fail(f"function {name!r} needs an argument list", tok)
-                self.fail(f"unknown identifier {name!r}", tok)
+                    _fail(f"function {name!r} needs an argument list", tok.pos)
+                _fail(f"unknown identifier {name!r}", tok.pos)
             if name not in FUNCTIONS:
-                self.fail(f"unknown function {name!r}", tok)
+                _fail(f"unknown function {name!r}", tok.pos)
             self.advance()  # consume '('
             arg = self.expr()
             closing = self.advance()
             if closing.kind != "RPAREN":
-                self.fail("expected ')'", closing)
+                _fail("expected ')'", closing.pos)
             return Call(name, arg)
-        self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input",
-                  tok)
+        _fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok.pos)
 
 
 def parse_expression(text: str) -> Expr:

@@ -194,8 +194,7 @@ def parse_network(text: str) -> LtcNetwork:
     for key in ("neurons", "n_output"):
         if key not in doc:
             raise FormatError(f"missing top-level key {key!r}")
-    if isinstance(doc["n_output"], bool) or not isinstance(doc["n_output"], int):
-        raise FormatError(f"n_output: expected an integer, got {doc['n_output']!r}")
+    _typed(doc["n_output"], "n_output", int)
     if not isinstance(doc["neurons"], (list, dict)):
         raise FormatError("neurons must be a list or an object of columns")
     cols = {}

@@ -19,7 +19,9 @@ receive chemical synapses; any edge leaving an output neuron (including
 gap junctions, which are bidirectional) is rejected.
 
 Every parameter rule (finite values, cm > 0, g_leak >= 0, w >= 0, ...) is
-stated once, in the table ``_GROUPS``, which checks items and columns alike.
+stated once, in the table ``_GROUPS``, which checks items and columns alike;
+the type rule of a number (no strings or bools, whole indices, within float
+range) is stated once, in ``_number``.
 """
 
 from __future__ import annotations
@@ -134,13 +136,17 @@ def _check(rules, d, prefix="") -> None:
 
 
 def _number(value, kind, name):
-    """``value`` as ``kind``, float or int: an int from a float only if whole."""
+    """``value`` as ``kind``, float or int: an int from a float only if whole.
+    The one type rule of a network number, for items and for columns."""
     if isinstance(value, (str, bytes, bool, np.bool_)):  # float("1.0") is 1.0, True is 1
         raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
                          f"got {value!r}")
-    if kind is int and type(value) is not int and not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value}")  # int() would truncate
-    return kind(value)
+    try:
+        if kind is int and type(value) is not int and not float(value).is_integer():
+            raise ValueError(f"{name} must be an integer, got {value}")  # int() would truncate
+        return kind(value)
+    except OverflowError:  # float(10**400); its repr may be too long to print
+        raise ValueError(f"{name} out of float range") from None
 
 
 def _count(value, name) -> int:
@@ -214,25 +220,23 @@ _ARRAYS = ("_cm", "_g", "_vleak", "_src", "_dst", "_w", "_gamma", "_mu", "_erev"
 _ARRAY_OF = dict(zip((f for _, types, _ in _GROUPS for f in types), _ARRAYS))
 
 
-def _column(values, kind, name, f) -> np.ndarray:
-    """Column ``f`` of group ``name``: floats, or indices, where a float
-    must be a whole number (1.0 is 1, 0.7 is refused); never strings or bools."""
+def _column(values, kind, name, f, checked=False) -> np.ndarray:
+    """Column ``f`` of group ``name``: floats, or indices.  An ndarray of numbers
+    (of integers for indices) is taken by its dtype; any other column has each
+    value read by ``_number``, unless item dataclasses made it so (``checked``)."""
     given = np.asarray(values)
-    if given.size and given.dtype.kind in "USb":  # raise at the first string or bool given
-        for k, value in enumerate(np.asarray(values, object).ravel()):
-            _number(value, kind, f"{name}[{k}]: {f}")
+    numeric = "iu" if kind is int else "iuf"  # the dtype kinds taken as they are
+    if given.size and not checked and not (
+            isinstance(values, np.ndarray) and given.dtype.kind in numeric):
+        values = np.array([_number(value, kind, f"{name}[{k}]: {f}")
+                           for k, value in enumerate(np.asarray(values, object).ravel())],
+                          object).reshape(given.shape)
     if kind is float:
-        return np.array(given, dtype=float, order="C")  # a block's grid summed row by row
-    if given.dtype.kind == "f":
-        bad = ~np.isfinite(given) | (np.trunc(given) != given)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"{name}[{k}]: {f} must be an integer, got {given.flat[k]}")
-        values = given.tolist()  # numpy would cast a float beyond intp to its minimum
+        return np.array(values, dtype=float, order="C")  # a block's grid summed row by row
     try:
         return np.array(values, dtype=np.intp)
     except OverflowError:  # beyond intp: Python ints, which the index checks reject
-        return np.array([int(v) for v in values], dtype=object)
+        return np.array(values, dtype=object)
 
 
 def _per_synapse(*arrays) -> list:
@@ -250,10 +254,10 @@ class LtcNetwork:
     them (the rules of ``_GROUPS`` over whole columns, index ranges, the
     feed-forward output rule); the tuple constructor
     ``LtcNetwork(neurons, chem, gaps, n_output)`` converts its items and
-    calls the same validator, which skips the rules for a group of item
-    dataclasses: they checked them when they were made.  The ``neurons``,
-    ``chem`` and ``gaps`` tuples are views: the tuples given to the
-    constructor, or built on first access for array-built networks.
+    calls the same validator, which skips the type and value rules for a
+    group of item dataclasses: they checked them when they were made.  The
+    ``neurons``, ``chem`` and ``gaps`` tuples are views: the tuples given to
+    the constructor, or built on first access for array-built networks.
     Equality compares the arrays and ``n_output``.
     """
 
@@ -281,8 +285,8 @@ class LtcNetwork:
 
     def _store(self, cols, n_output, checked=()):
         groups = []
-        for name, types, rules in _GROUPS:
-            group = [_column(cols[f], kind, name, f) for f, kind in types.items()]
+        for i, (name, types, rules) in enumerate(_GROUPS):
+            group = [_column(cols[f], kind, name, f, i in checked) for f, kind in types.items()]
             if group[-1].ndim == 2 and name == "chemical_synapses":  # one e_rev row a source
                 src, dst, w, gamma, mu, grid = group
                 rows, size = grid.shape[0], groups[0][0].shape[0]
@@ -409,6 +413,12 @@ class LtcNetwork:
         return self._gw.shape[0]
 
 
+def _neuron(i, net: LtcNetwork) -> None:
+    """Raise IndexError unless ``i`` names a neuron of ``net``."""
+    if not 0 <= i < net.size:
+        raise IndexError(f"neuron index {i} out of range for {net.size} neurons")
+
+
 def _state(state, net: LtcNetwork) -> np.ndarray:
     """``state`` as floats, refused unless it is a vector of one per neuron."""
     u = np.asarray(state, dtype=float)
@@ -448,8 +458,7 @@ def neuron_derivative(i: int, state, net: LtcNetwork) -> float:
     Accumulation order (chemical sum, then gap a-side pass, then b-side
     pass) matches the vectorized ``network_derivative`` exactly.
     """
-    if not 0 <= i < net.size:
-        raise IndexError(f"neuron index {i} out of range for {net.size} neurons")
+    _neuron(i, net)
     u = _state(state, net)
     chem = 0.0
     for syn in net.chem:
@@ -523,8 +532,7 @@ def effective_time_constant(i: int, state, net: LtcNetwork) -> float:
     conductance linearly.  Always lies in the interval computed by
     ``verify.tau_bounds`` because the activations stay within [0, 1].
     """
-    if not 0 <= i < net.size:
-        raise IndexError(f"neuron index {i} out of range for {net.size} neurons")
+    _neuron(i, net)
     u = _state(state, net)
     # gamma * (v + mu) may overflow to +-inf, whose sigmoid is exactly 1 or 0
     with np.errstate(divide="ignore", over="ignore"):

@@ -33,6 +33,7 @@ from .model import (
     GapJunction,
     LtcNetwork,
     NeuronParams,
+    _neuron,
     _per_synapse,
 )
 from .solver import Trajectory
@@ -58,9 +59,10 @@ class TauInterval:
     tau_max: float
 
     def __post_init__(self):
-        if not (0 < self.tau_min <= self.tau_max):
+        # tau_min is 0.0 where a neuron's full load overflows to inf
+        if not (0 <= self.tau_min <= self.tau_max):
             raise ValueError(
-                f"need 0 < tau_min <= tau_max, got [{self.tau_min}, {self.tau_max}]"
+                f"need 0 <= tau_min <= tau_max, got [{self.tau_min}, {self.tau_max}]"
             )
 
 
@@ -102,8 +104,7 @@ class ViolationReport:
 
 def tau_bounds(i: int, net: LtcNetwork) -> TauInterval:
     """Closed-form interval for the time constant of neuron ``i``."""
-    if not 0 <= i < net.size:
-        raise IndexError(f"neuron index {i} out of range for {net.size} neurons")
+    _neuron(i, net)
     tau_min, tau_max = net._tau_range
     return TauInterval(i, float(tau_min[i]), float(tau_max[i]))
 
@@ -133,6 +134,13 @@ def state_bounds(net: LtcNetwork) -> list[StateBox]:
     return [StateBox(i, lo[i], hi[i]) for i in range(net.size)]
 
 
+def _check_width(traj: Trajectory, net: LtcNetwork) -> None:
+    """Raise DimensionMismatchError unless ``traj`` has one column per neuron."""
+    if traj.states.shape[1] != net.size:
+        raise DimensionMismatchError(f"trajectory has {traj.states.shape[1]} columns, "
+                                     f"network has {net.size} neurons")
+
+
 def monitor_trajectory(
     traj: Trajectory, net: LtcNetwork, tolerance: float = 1e-6
 ) -> ViolationReport:
@@ -144,11 +152,7 @@ def monitor_trajectory(
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    if traj.states.shape[1] != net.size:
-        raise DimensionMismatchError(
-            f"trajectory has {traj.states.shape[1]} columns, network has "
-            f"{net.size} neurons"
-        )
+    _check_width(traj, net)
     report = ViolationReport(tolerance=tolerance)
     for row, i in zip(*np.nonzero(~np.isfinite(traj.states))):
         report.entries.append(
@@ -183,11 +187,7 @@ def conservation_check(traj: Trajectory, net: LtcNetwork) -> float:
         raise UnsupportedTopologyError(
             "conservation check requires g_leak == 0 for every neuron"
         )
-    if traj.states.shape[1] != net.size:
-        raise DimensionMismatchError(
-            f"trajectory has {traj.states.shape[1]} columns, network has "
-            f"{net.size} neurons"
-        )
+    _check_width(traj, net)
     if net.size == 0:
         return 0.0
     totals = traj.states @ net._cm

@@ -50,6 +50,13 @@ def gap_ring(w_hat=1.0, cms=(1.0, 1.0, 1.0)):
     )
 
 
+def overflowing_load():
+    """Two synapses of w = 1e308 into neuron 1, whose sum overflows to inf."""
+    return LtcNetwork.from_arrays(cm=[1.0, 1.0], g_leak=[1.0, 1.0], v_leak=[0.0, 0.0],
+                                  src=[0, 0], dst=[1, 1], w=[1e308, 1e308], gamma=[1.0, 1.0],
+                                  mu=[0.0, 0.0], e_rev=[0.0, 1.0], n_output=1)
+
+
 def rotation_field():
     from ltcsim import VectorField
 

@@ -207,6 +207,40 @@ class TestFit:
         assert (got.readout_matrix == want.readout_matrix).all()
         assert got.sup_error == want.sup_error
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_features", 0), ("n_features", -3), ("n_features", 2.5), ("n_features", "4"),
+        ("n_features", math.nan), ("n_samples", 0), ("n_samples", 10.0), ("n_samples", None),
+        ("ridge", -1e-8), ("ridge", math.nan), ("ridge", math.inf), ("ridge", -math.inf),
+        ("seed", 1.5), ("seed", -1), ("seed", "3"), ("seed", None),
+        ("gamma_scale", 0.0), ("gamma_scale", -1.0), ("gamma_scale", math.nan),
+        ("gamma_scale", math.inf),
+    ])
+    def test_fit_arguments_refused_as_config_fields(self, monkeypatch, name, value):
+        # fit_feedforward checks the arguments it shares with PipelineConfig by
+        # PipelineConfig's rules, before drawing or evaluating anything
+        calls = []
+        fld = VectorField(2, lambda x: calls.append(x) or -x, [[-1.0, 1.0], [-1.0, 1.0]])
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw was made before the arguments were checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        args = dict(n_features=4, n_samples=16, ridge=1e-8, seed=5, gamma_scale=1.0)
+        args[name] = value
+        with pytest.raises((TypeError, ValueError)) as want:
+            PipelineConfig(**args)
+        with pytest.raises(want.type) as got:
+            fit_feedforward(fld, **args)
+        assert str(got.value) == str(want.value)
+        assert calls == []
+
+    def test_fit_seed_refused_by_name(self):
+        with pytest.raises(TypeError, match=r"^seed: 'float' object cannot be interpreted "
+                                            "as an integer$"):
+            fit_feedforward(rotation_field(), 4, 16, seed=1.5)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            fit_feedforward(rotation_field(), 4, 16, seed=-1)
+
     def test_rank_deficiency_at_zero_ridge(self):
         with pytest.raises(RankDeficiencyError, match="ridge"):
             fit_feedforward(neg_field(), 8, 3, 0.0, 0)

@@ -32,7 +32,8 @@ import ltcsim.approx
 from ltcsim import model
 from ltcsim.cli import cli_dispatch
 from ltcsim.io import _fmt
-from helpers import gap_ring, leak_neuron, realized_network, rotation_field, two_neuron_chain
+from helpers import (gap_ring, leak_neuron, overflowing_load, realized_network, rotation_field,
+                     two_neuron_chain)
 
 
 @pytest.fixture
@@ -55,6 +56,14 @@ class TestBounds:
         lines = out.splitlines()
         assert "TAU 0 0.5 0.5" in lines
         assert "BOX 0 0.25 0.25" in lines
+
+    def test_overflowing_load(self, capsys, tmp_path):
+        # a document the reader accepts, whose neuron 1 has a load of inf
+        path = tmp_path / "load.json"
+        path.write_text(serialize_network(overflowing_load()))
+        code, out, err = run(capsys, "bounds", "--net", str(path))
+        assert (code, err) == (0, "")
+        assert "TAU 1 0 1" in out.splitlines()
 
     def test_gap_network_tau_only(self, capsys, tmp_path):
         path = tmp_path / "ring.json"

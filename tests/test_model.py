@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from collections import namedtuple
 from dataclasses import astuple
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -665,36 +666,79 @@ class TestParameterRules:
     @pytest.mark.parametrize("value", ["1", "1.0", b"1", True, np.True_])
     def test_strings_and_bools_refused(self, value):
         # float("1.0") is 1.0 and True is 1, so each would have built a network.
-        # numpy reads a list that holds a string as all strings, and promotes a
-        # bool among numbers, so a bool column here is all bools.
+        # A Python column is read value by value, so a bool among numbers is
+        # named where it stands.  An ndarray is judged by its dtype: numpy reads a
+        # list that holds a string as all strings, and promotes a bool among
+        # numbers, so a bool ndarray here is all bools.
         cols = {f: list(col) for fields in RULE_NET.values() for f, col in fields.items()}
         mixed = isinstance(value, (str, bytes))
-        for group, fields in RULE_NET.items():
+        items = [[RULE_ITEMS[g](*row) for row in zip(*RULE_NET[g].values())] for g in RULE_NET]
+        for g, (group, fields) in enumerate(RULE_NET.items()):
             k = RULE_AT[group]
+            Item = namedtuple("Item", fields)  # other objects: read as columns
             for field in fields:
                 what = "an integer" if field in RULE_INDICES else "a number"
                 item = {f: cols[f][k] for f in fields}
                 with pytest.raises(ValueError) as exc:
                     RULE_ITEMS[group](**dict(item, **{field: value}))
                 assert str(exc.value) == f"{field} must be {what}, got {value!r}"
-                at = k if mixed else 0
-                column = list(cols[field]) if at else [value] * len(cols[field])
-                column[at] = value
-                for given, first in ((column, at), (np.array(column), 0)):
-                    with pytest.raises(ValueError, match=rf"^{group}\[{first}\]: {field} "
-                                                         f"must be {what}, got "):
+                column = list(cols[field])
+                column[k] = value
+                same = [value] * len(column)
+                for given, first in ((column, k), (same, 0)):
+                    with pytest.raises(ValueError) as exc:
                         LtcNetwork.from_arrays(**dict(cols, **{field: given}), n_output=1)
-        items = [[RULE_ITEMS[g](*row) for row in zip(*RULE_NET[g].values())] for g in RULE_NET]
+                    assert str(exc.value) == (f"{group}[{first}]: {field} must be {what}, "
+                                              f"got {value!r}")
+                with pytest.raises(ValueError, match=rf"^{group}\[0\]: {field} "
+                                                     f"must be {what}, got "):
+                    array = np.array(column if mixed else same)  # its items as numpy's scalars
+                    LtcNetwork.from_arrays(**dict(cols, **{field: array}), n_output=1)
+                beside = list(items)  # one namedtuple among the group's dataclass items
+                beside[g] = list(items[g])
+                beside[g][k] = Item(**dict(item, **{field: value}))
+                with pytest.raises(ValueError) as exc:
+                    LtcNetwork(*beside, 1)
+                assert str(exc.value) == f"{group}[{k}]: {field} must be {what}, got {value!r}"
         for build in (lambda n: LtcNetwork.from_arrays(**cols, n_output=n),
                       lambda n: LtcNetwork(*items, n)):
             with pytest.raises(ValueError) as exc:
                 build(value)
             assert str(exc.value) == f"n_output must be an integer, got {value!r}"
-        Neuron = namedtuple("Neuron", "cm g_leak v_leak")  # other objects: read as columns
-        neurons = [items[0][0] if mixed else Neuron(value, 1.0, 0.0), Neuron(value, 1.0, 0.0)]
-        with pytest.raises(ValueError) as exc:
-            LtcNetwork(neurons)
-        assert str(exc.value) == f"neurons[{int(mixed)}]: cm must be a number, got {value!r}"
+        Neuron = namedtuple("Neuron", "cm g_leak v_leak")
+        for neurons, at in (([items[0][0], Neuron(value, 1.0, 0.0)], 1),
+                            ([Neuron(value, 1.0, 0.0)] * 2, 0)):
+            with pytest.raises(ValueError) as exc:
+                LtcNetwork(neurons)
+            assert str(exc.value) == f"neurons[{at}]: cm must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("huge", [10**400, -(10**309), Fraction(10**400, 3)],
+                             ids=["int", "negative int", "fraction"])
+    def test_float_overflow_named(self, huge):
+        # float() of such a number raises OverflowError, with no field named
+        cols = {f: list(col) for fields in RULE_NET.values() for f, col in fields.items()}
+        items = [[RULE_ITEMS[g](*row) for row in zip(*RULE_NET[g].values())] for g in RULE_NET]
+        for g, (group, fields) in enumerate(RULE_NET.items()):
+            k = RULE_AT[group]
+            Item = namedtuple("Item", fields)
+            for field in [f for f in fields if f not in RULE_INDICES]:
+                item = {f: cols[f][k] for f in fields}
+                with pytest.raises(ValueError) as exc:
+                    RULE_ITEMS[group](**dict(item, **{field: huge}))
+                assert str(exc.value) == f"{field} out of float range"
+                column = list(cols[field])
+                column[k] = huge
+                beside = list(items)
+                beside[g] = list(items[g])
+                beside[g][k] = Item(**dict(item, **{field: huge}))
+                for build in (lambda: LtcNetwork.from_arrays(**dict(cols, **{field: column}),
+                                                             n_output=1),
+                              lambda: LtcNetwork.from_arrays(
+                                  **dict(cols, **{field: np.array(column, object)}), n_output=1),
+                              lambda: LtcNetwork(*beside, 1)):
+                    with pytest.raises(ValueError) as exc:
+                        build()
+                    assert str(exc.value) == f"{group}[{k}]: {field} out of float range"
 
     def test_other_item_objects_checked(self):
         # only the item dataclasses have checked their own rules: any other

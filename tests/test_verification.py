@@ -21,6 +21,7 @@ from ltcsim import (
     Violation,
     ViolationKind,
     conservation_check,
+    effective_time_constant,
     monitor_trajectory,
     random_network,
     simulate,
@@ -29,8 +30,8 @@ from ltcsim import (
 )
 from ltcsim import model
 from ltcsim.model import _ARRAYS
-from helpers import (box_arrays, gap_ring, leak_neuron, networks, realized_network,
-                     uniform_random_network)
+from helpers import (box_arrays, gap_ring, leak_neuron, networks, overflowing_load,
+                     realized_network, uniform_random_network)
 
 
 def closed_form_tau(i, net):
@@ -109,6 +110,18 @@ class TestTauBounds:
     def test_index_range(self):
         with pytest.raises(IndexError):
             tau_bounds(3, leak_neuron())
+
+    def test_overflowing_load(self):
+        # each w is finite, but neuron 1's full load is inf: tau_min is cm / inf
+        net = overflowing_load()
+        assert tau_bounds(1, net) == TauInterval(1, 0.0, 1.0)
+        assert tau_bounds(1, net) == closed_form_tau(1, net)
+        rng = np.random.default_rng(31)
+        for u in rng.uniform(-40.0, 40.0, size=(200, 2)):
+            assert 0.0 <= effective_time_constant(1, u, net) <= 1.0
+        for bad in ((-1.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (1.0, 0.5)):
+            with pytest.raises(ValueError, match="need 0 <= tau_min <= tau_max"):
+                TauInterval(0, *bad)
 
     @given(networks(bound=1e100))
     def test_equals_closed_form(self, net):
